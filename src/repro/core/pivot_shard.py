@@ -44,8 +44,8 @@ round by round, hence so does the global one (a sum of per-component
 bounds, every issued pair being fresh).
 
 Degradation mirrors the pruning shards: without ``fork`` (or with
-``processes <= 1``) the same shard function runs in-process, and the
-supervised pool's retry/degrade ladder recovers killed, delayed, or
+``processes <= 1``) the supervised pool runs the same shard function
+in-process, and its retry/degrade ladder recovers killed, delayed, or
 poisoned shard tasks — the merge consumes identical round logs either
 way.
 """
@@ -63,7 +63,6 @@ from repro.crowd.oracle import CrowdOracle
 from repro.obs import maybe_span
 from repro.pruning.components import connected_components, pack_components
 from repro.pruning.graph import EagerCandidateGraph
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.supervisor import supervised_map
 
 Pair = Tuple[int, int]
@@ -80,20 +79,29 @@ _RoundLog = Tuple[int, int, Tuple[Pair, ...], int, int,
 _PIVOT_STATE: Dict[str, object] = {}
 
 
-def require_pair_deterministic(source) -> None:
-    """Reject answer sources the sharded engine cannot safely fork.
+#: The shard knob each sharded phase is disabled with, named in errors.
+_SHARD_KNOB = {"generation": "pivot", "refinement": "refine"}
+
+
+def require_pair_deterministic(source, phase: str) -> None:
+    """Reject answer sources a sharded ``phase`` cannot safely fork.
 
     Worker processes resolve pairs through forked copies of the source;
     unless every copy maps a pair to the same confidence regardless of
     query order (``pair_deterministic``), sharding could change answers.
     Stateful sources (fallback tracking, platform simulators with
     cross-batch RNG) must use the single-process engines.
+
+    Args:
+        source: The answer source the workers would fork.
+        phase: ``"generation"`` or ``"refinement"``.
     """
     if not getattr(source, "pair_deterministic", False):
         raise ValueError(
-            f"sharded generation requires a pair-deterministic answer "
+            f"sharded {phase} requires a pair-deterministic answer "
             f"source; {type(source).__name__} does not declare "
-            "pair_deterministic — run with pivot shards disabled"
+            f"pair_deterministic — run with {_SHARD_KNOB[phase]} shards "
+            "disabled"
         )
 
 
@@ -185,7 +193,7 @@ def pc_pivot_sharded(
     if processes < 0:
         raise ValueError(f"processes must be >= 0, got {processes}")
     source = oracle.source
-    require_pair_deterministic(source)
+    require_pair_deterministic(source, "generation")
     # Workers must not fork a journaling wrapper (its file handle would
     # be shared across processes); they fork the wrapped source and the
     # parent's replay journals the batches.
@@ -215,27 +223,17 @@ def pc_pivot_sharded(
     packed = pack_components([members for members, _ in multi_components],
                              num_shards)
 
-    want_parallel = processes > 1 and num_shards > 1
-    if want_parallel and not fork_available():
-        notify_parallel_fallback(obs, requested=processes,
-                                 context="pc_pivot_sharded")
-        want_parallel = False
-
     _PIVOT_STATE["components"] = multi_components
     _PIVOT_STATE["shards"] = packed
     _PIVOT_STATE["permutation"] = permutation
     _PIVOT_STATE["epsilon"] = epsilon
     _PIVOT_STATE["answers"] = fork_source
     try:
-        if want_parallel:
-            shard_results, _ = supervised_map(
-                _run_pivot_shard, list(range(num_shards)),
-                min(processes, num_shards), policy=supervisor_policy,
-                obs=obs, fault_plan=fault_plan, label="pivot.shard",
-            )
-        else:
-            shard_results = [_run_pivot_shard(index)
-                             for index in range(num_shards)]
+        shard_results, _ = supervised_map(
+            _run_pivot_shard, range(num_shards), max(1, processes),
+            policy=supervisor_policy, obs=obs, fault_plan=fault_plan,
+            label="pivot.shard",
+        )
     finally:
         _PIVOT_STATE.clear()
 

@@ -58,8 +58,8 @@ post-canonicalization, at the id level) and is property-tested rather
 than proven — see point 2.
 
 Degradation mirrors the pivot shards: without ``fork`` (or with
-``processes <= 1``) the same shard function runs in-process, and the
-supervised pool's retry/degrade ladder recovers killed, delayed, or
+``processes <= 1``) the supervised pool runs the same shard function
+in-process, and its retry/degrade ladder recovers killed, delayed, or
 poisoned shard tasks — the replay consumes identical round logs either
 way.
 """
@@ -77,10 +77,10 @@ from repro.core.refine import (
     apply_free_operations,
     build_estimator,
 )
+from repro.core.pivot_shard import require_pair_deterministic
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.candidate import CandidateSet
 from repro.pruning.components import connected_components, pack_components
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.supervisor import supervised_map
 
 Pair = Tuple[int, int]
@@ -99,21 +99,6 @@ _RoundLog = Tuple[Tuple[_OpRef, ...], int, Tuple[Pair, ...],
 #: Worker state captured at fork time (start method "fork" only) — the
 #: same pattern as ``repro.core.pivot_shard._PIVOT_STATE``.
 _REFINE_STATE: Dict[str, object] = {}
-
-
-def require_pair_deterministic(source) -> None:
-    """Reject answer sources the sharded engine cannot safely fork.
-
-    Worker processes resolve pairs through forked copies of the source;
-    unless every copy maps a pair to the same confidence regardless of
-    query order (``pair_deterministic``), sharding could change answers.
-    """
-    if not getattr(source, "pair_deterministic", False):
-        raise ValueError(
-            f"sharded refinement requires a pair-deterministic answer "
-            f"source; {type(source).__name__} does not declare "
-            "pair_deterministic — run with refine shards disabled"
-        )
 
 
 def _op_ref(clustering: Clustering, operation: Operation) -> _OpRef:
@@ -421,7 +406,7 @@ def pc_refine_sharded(
     if ranking not in ("ratio", "benefit"):
         raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
     source = oracle.source
-    require_pair_deterministic(source)
+    require_pair_deterministic(source, "refinement")
     # Workers must not fork a journaling wrapper (its file handle would
     # be shared across processes); they fork the wrapped source and the
     # parent's replay journals the batches.
@@ -437,12 +422,6 @@ def pc_refine_sharded(
         packed = pack_components([components[index] for index in multi],
                                  num_shards)
 
-    want_parallel = processes > 1 and num_shards > 1
-    if want_parallel and not fork_available():
-        notify_parallel_fallback(obs, requested=processes,
-                                 context="pc_refine_sharded")
-        want_parallel = False
-
     _REFINE_STATE["components"] = multi_components
     _REFINE_STATE["shards"] = packed
     _REFINE_STATE["next_id"] = clustering.next_id
@@ -453,15 +432,11 @@ def pc_refine_sharded(
     _REFINE_STATE["answers"] = fork_source
     try:
         with _stage(timings, "refine.workers"):
-            if want_parallel:
-                shard_results, _ = supervised_map(
-                    _run_refine_shard, list(range(num_shards)),
-                    min(processes, num_shards), policy=supervisor_policy,
-                    obs=obs, fault_plan=fault_plan, label="refine.shard",
-                )
-            else:
-                shard_results = [_run_refine_shard(index)
-                                 for index in range(num_shards)]
+            shard_results, _ = supervised_map(
+                _run_refine_shard, range(num_shards), max(1, processes),
+                policy=supervisor_policy, obs=obs, fault_plan=fault_plan,
+                label="refine.shard",
+            )
     finally:
         _REFINE_STATE.clear()
 

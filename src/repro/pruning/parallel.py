@@ -9,12 +9,14 @@ worker processes in deterministic chunks and merges the survivors.
 The pool uses the ``fork`` start method and passes the metric to workers via
 a module-global captured at fork time — this supports lambdas and closures
 (which cannot be pickled).  On platforms without ``fork`` (e.g. Windows, or
-macOS with the spawn default and no fork method) the scorer falls back to
-the serial loop, so results are identical everywhere; parallelism is purely
-a wall-clock optimization.  The fallback is *not* silent: it raises a
-:class:`ParallelFallbackWarning` and, when an observability context is
-attached, emits a ``pruning.parallel_fallback`` warning event so traces
-record that a requested parallel run executed serially.
+macOS with the spawn default and no fork method) the pool scores the
+chunks in the parent instead, so results are identical everywhere;
+parallelism is purely a wall-clock optimization.  The fallback is *not*
+silent: the supervised pool raises a
+:class:`~repro.runtime.supervisor.ParallelFallbackWarning` and, when an
+observability context is attached, emits a ``pruning.parallel_fallback``
+warning event so traces record that a requested parallel run executed
+serially.
 
 Fault tolerance: chunks run under the supervised pool of
 :mod:`repro.runtime.supervisor` — a crashed (OOM-killed, segfaulted)
@@ -30,8 +32,6 @@ the surviving ``{pair: score}`` mapping is byte-identical to the serial loop
 
 from __future__ import annotations
 
-import multiprocessing
-import warnings
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.faults import ProcessFaultPlan
@@ -44,38 +44,6 @@ TextSimilarity = Callable[[str, str], float]
 _FORK_STATE: Dict[str, object] = {}
 
 DEFAULT_CHUNK_SIZE = 2048
-
-
-class ParallelFallbackWarning(RuntimeWarning):
-    """A requested parallel pruning run fell back to the serial path."""
-
-
-def fork_available() -> bool:
-    """Whether the fork start method (required for the pool) exists."""
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def notify_parallel_fallback(obs, *, requested: int, context: str) -> None:
-    """Record that a ``parallel``/``processes`` request ran serially.
-
-    Raises a :class:`ParallelFallbackWarning` (always) and emits a
-    ``pruning.parallel_fallback`` warning event on ``obs`` (when attached)
-    with the requested worker count and the call site — results are still
-    byte-identical, only the wall-clock expectation is not met.
-    """
-    message = (
-        f"{context}: {requested} worker processes requested but the 'fork' "
-        "start method is unavailable on this platform; running serially "
-        "(results are identical, only slower)"
-    )
-    warnings.warn(message, ParallelFallbackWarning, stacklevel=3)
-    if obs is not None:
-        obs.event(
-            "pruning.parallel_fallback",
-            requested=requested,
-            context=context,
-            reason="fork-unavailable",
-        )
 
 
 def _score_chunk(chunk: Sequence[Pair]) -> List[Tuple[Pair, float]]:
@@ -133,10 +101,7 @@ def score_pairs_parallel(
         fault_plan: Deterministic process-fault injection (chaos testing
             only).
     """
-    if processes > 1 and len(pairs) > 0 and not fork_available():
-        notify_parallel_fallback(obs, requested=processes,
-                                 context="score_pairs_parallel")
-    if processes <= 1 or len(pairs) == 0 or not fork_available():
+    if processes <= 1 or len(pairs) == 0:
         return _score_serial(pairs, texts, metric, threshold)
 
     size = chunk_size or min(

@@ -40,9 +40,9 @@ The worker pool is the supervised pool of
 :mod:`repro.runtime.supervisor`: a crashed shard worker is detected and
 its shard retried with backoff, and shards whose retries exhaust degrade
 to in-process execution — the join completes with identical output under
-any schedule of worker failures.  On platforms without ``fork`` the join
-falls back to the in-process loop and reports it via
-:func:`repro.pruning.parallel.notify_parallel_fallback`
+any schedule of worker failures.  On platforms without ``fork`` the pool
+runs the shards in-process and reports it via
+:func:`repro.runtime.supervisor.notify_parallel_fallback`
 (``pruning.parallel_fallback`` event + ``ParallelFallbackWarning``).
 
 Equivalence contract: for every shard count and either kernel backend, the
@@ -59,7 +59,6 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.datasets.schema import Record
 from repro.perf.timing import StageTimings
 from repro.pruning.blocking import shard_of_token
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import SupervisorPolicy, supervised_map
 from repro.pruning.prefix_join import (
@@ -468,18 +467,6 @@ def _execute_shards(
     fault_plan: Optional[ProcessFaultPlan] = None,
 ) -> List[Dict[Pair, float]]:
     """All shards' survivor maps, in shard order (parallel when asked)."""
-    want_parallel = processes > 1 and num_shards > 1 and len(plan.elem_k) > 0
-    if want_parallel and not fork_available():
-        notify_parallel_fallback(obs, requested=processes,
-                                 context="sharded_prefix_filtered_candidates")
-        want_parallel = False
-    if not want_parallel:
-        return [
-            _join_shard(plan, shard, num_shards, metric, threshold, kernel,
-                        set_function, pair_block_size)
-            for shard in range(num_shards)
-        ]
-
     _SHARD_STATE.update(
         plan=plan, num_shards=num_shards, metric=metric, threshold=threshold,
         kernel=kernel, set_function=set_function,
@@ -488,7 +475,8 @@ def _execute_shards(
     try:
         shard_results, _ = supervised_map(
             _run_shard_worker, range(num_shards),
-            min(processes, num_shards),
+            # An empty plan joins nothing: not worth forking for.
+            max(1, processes) if len(plan.elem_k) > 0 else 1,
             policy=supervisor_policy, obs=obs, fault_plan=fault_plan,
             label="pruning.shard_join",
         )

@@ -52,28 +52,27 @@ estimator, answer source)`` — scheduling, sealing order, and faults
 cannot perturb them — and both merges consume the logs in canonical
 component order.
 
-The pool is a sibling of :func:`repro.runtime.supervisor.supervised_map`
-with the same crash/retry/degrade ladder and ``runtime.*`` telemetry,
-plus a third ``("state", key, value)`` worker message for late-bound
-coordination state.  Straggler re-dispatch is deliberately absent: pivot
-and refine tasks sleep on simulated crowd latency by design, so a
-deadline would duplicate honest work (``task_deadline_s`` is ignored).
-The three phase checkpoints of :mod:`repro.runtime.checkpoint` are
-written at the same boundaries with the same payloads as barrier runs.
+The shared pool is :class:`repro.runtime.supervisor.SupervisedPool`
+(label ``"pipeline"``) running :func:`_execute_task` — the same worker
+loop, crash/retry/degrade ladder, and ``runtime.*`` telemetry as the
+barrier engines' pools — with :data:`_PIPELINE_STATE` as the state its
+broadcasts extend.  Straggler re-dispatch is deliberately off: pivot and
+refine tasks sleep on simulated crowd latency by design, so a deadline
+would duplicate honest work (the pool runs with ``task_deadline_s``
+cleared).  The three phase checkpoints of
+:mod:`repro.runtime.checkpoint` are written at the same boundaries with
+the same payloads as barrier runs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
-import multiprocessing
 import os
-import pickle
-import time
 from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing import connection
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import pivot_shard, refine_shard
 from repro.core.acd import (
@@ -100,7 +99,6 @@ from repro.pruning.candidate import (
     build_candidate_set,
 )
 from repro.pruning.components import IncrementalComponents, connected_components
-from repro.pruning.parallel import fork_available, notify_parallel_fallback
 from repro.pruning.shard import (
     DEFAULT_PAIR_BLOCK_SIZE,
     _build_plan,
@@ -115,12 +113,9 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import (
-    CHAOS_KILL_EXIT,
     RuntimeReport,
+    SupervisedPool,
     SupervisorPolicy,
-    _Observer,
-    _shutdown,
-    _Worker,
 )
 from repro.similarity.composite import SET_METRIC_FUNCTIONS
 from repro.similarity.kernels import numpy_available, resolve_kernel_backend
@@ -189,326 +184,6 @@ def _execute_task(payload: Tuple) -> Any:
             for entries, pairs, scores, known in payload[1]
         ]
     raise ValueError(f"unknown pipeline task kind {kind!r}")
-
-
-def _pipeline_worker_main(conn, fault_plan: Optional[ProcessFaultPlan]) -> None:
-    """Worker process body: tasks, state broadcasts, chaos directives.
-
-    The ``("state", key, value)`` message extends the fork-time
-    :data:`_PIPELINE_STATE` snapshot with coordination values that only
-    exist after the worker forked (the refine phase's merged-clustering
-    id counter, frozen budget, and histogram).  Pipe FIFO ordering
-    guarantees a broadcast lands before any task submitted after it.
-    Chaos faults are applied here, per ``(task, attempt)``, exactly as
-    in :func:`repro.runtime.supervisor._worker_main` — the parent's
-    degraded path never enters this function and always runs clean.
-    """
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return
-            if message[0] == "stop":
-                return
-            if message[0] == "state":
-                _PIPELINE_STATE[message[1]] = message[2]
-                continue
-            _, index, attempt, payload = message
-            payload = pickle.loads(payload)
-            directive = (fault_plan.directive(index, attempt)
-                         if fault_plan is not None else None)
-            if directive is not None:
-                if directive.kind == "kill":
-                    os._exit(CHAOS_KILL_EXIT)
-                elif directive.kind == "delay":
-                    time.sleep(directive.delay_seconds)
-                elif directive.kind == "poison":
-                    conn.send((index, attempt, "error",
-                               f"chaos poison (task {index}, "
-                               f"attempt {attempt})"))
-                    continue
-            try:
-                result = _execute_task(payload)
-            except BaseException as error:  # noqa: BLE001 - forwarded
-                outcome: Tuple = (index, attempt, "error", repr(error))
-            else:
-                outcome = (index, attempt, "ok", result)
-            try:
-                conn.send(outcome)
-            except (BrokenPipeError, OSError):
-                return
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-
-
-class _PipelinePool:
-    """A persistent supervised pool serving tasks from all three phases.
-
-    Unlike :func:`~repro.runtime.supervisor.supervised_map` (one map,
-    one barrier) the pipeline pool stays up across phases: tasks are
-    submitted as their inputs seal and collected in completion order via
-    :meth:`next_result`.  The fault ladder is the supervisor's — crash
-    detection via process sentinels, bounded retries with backoff,
-    capped respawns, in-parent degradation — reported through the same
-    ``runtime_*_total`` counters and ``runtime.*`` events (pool label
-    ``"pipeline"``).  With ``processes <= 1`` or no ``fork`` support the
-    pool runs *inline*: tasks execute synchronously in submission order
-    in the parent (fault plans do not apply, matching the barrier
-    engines' serial paths).
-    """
-
-    def __init__(self, processes: int,
-                 policy: Optional[SupervisorPolicy] = None,
-                 obs: Optional[ObsContext] = None,
-                 fault_plan: Optional[ProcessFaultPlan] = None,
-                 timings: Optional[StageTimings] = None):
-        if processes < 0:
-            raise ValueError(f"processes must be >= 0, got {processes}")
-        self._policy = policy if policy is not None else SupervisorPolicy()
-        self._observer = _Observer(obs, "pipeline")
-        self._fault_plan = fault_plan
-        self._timings = timings
-        self.report = RuntimeReport()
-        self.bytes_shipped = 0
-        self._processes = processes
-        self._payloads: Dict[int, Tuple] = {}
-        self._next_index = 0
-        #: Min-heap of (ready_at_monotonic, sequence, task_index).
-        self._pending: List[Tuple[float, int, int]] = []
-        self._sequence = 0
-        self._dispatches: Dict[int, int] = {}
-        self._failures: Dict[int, int] = {}
-        self._inflight: Dict[int, int] = {}
-        #: Tasks whose result is decided (queued in _ready or delivered).
-        self._resolved: Set[int] = set()
-        self._ready: List[Tuple[int, Any]] = []
-        self._outstanding = 0
-        self._workers: List[_Worker] = []
-        self._inline = (processes <= 1
-                        or "fork" not in
-                        multiprocessing.get_all_start_methods())
-        if not self._inline:
-            self._context = multiprocessing.get_context("fork")
-            self._workers = [self._spawn() for _ in range(processes)]
-
-    @property
-    def inline(self) -> bool:
-        return self._inline
-
-    @property
-    def outstanding(self) -> int:
-        """Submitted tasks whose results have not been delivered yet."""
-        return self._outstanding
-
-    def _spawn(self) -> _Worker:
-        parent_conn, child_conn = self._context.Pipe()
-        process = self._context.Process(
-            target=_pipeline_worker_main,
-            args=(child_conn, self._fault_plan), daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
-
-    def broadcast(self, key: str, value: Any) -> None:
-        """Publish late-bound state to the parent and every live worker.
-
-        The parent global is set *first*: respawned workers fork from
-        parent memory after this point and inherit the value, and the
-        degraded/inline paths read it directly.  Live workers receive a
-        ``state`` message, which pipe FIFO ordering delivers before any
-        task submitted afterwards.
-        """
-        _PIPELINE_STATE[key] = value
-        for worker in self._workers:
-            try:
-                worker.conn.send(("state", key, value))
-            except (BrokenPipeError, OSError):
-                pass  # the crash handler reaps it on the next step
-
-    def submit(self, payload: Tuple) -> int:
-        """Queue a task; returns its index (also the fault-plan key)."""
-        index = self._next_index
-        self._next_index += 1
-        if self._inline:
-            self._payloads[index] = payload
-        else:
-            # Pickle once at submission: the blob is what every dispatch
-            # (including retries) ships, so the meter is exact and the
-            # parent never re-serializes a payload.
-            blob = pickle.dumps(payload)
-            self._payloads[index] = blob
-            self.bytes_shipped += len(blob)
-        self._dispatches[index] = 0
-        self._failures[index] = 0
-        self._inflight[index] = 0
-        self._outstanding += 1
-        self.report.tasks += 1
-        heapq.heappush(self._pending, (0.0, self._sequence, index))
-        self._sequence += 1
-        return index
-
-    def next_result(self) -> Tuple[int, Any]:
-        """Block until some submitted task completes; return (index, value)."""
-        if self._outstanding == 0:
-            raise RuntimeError("no outstanding pipeline tasks")
-        while True:
-            if self._ready:
-                index, value = self._ready.pop(0)
-                self._outstanding -= 1
-                return index, value
-            if self._inline:
-                _, _, index = heapq.heappop(self._pending)
-                self._resolved.add(index)
-                value = _execute_task(self._payloads[index])
-                self._outstanding -= 1
-                return index, value
-            self._step()
-
-    def _degrade(self, index: int) -> None:
-        """Bottom rung: run a task in-parent, fault-free, byte-identical."""
-        self._resolved.add(index)
-        self.report.degraded_serial += 1
-        self._observer.record(
-            "runtime_degraded_serial_total", "runtime.degraded_serial",
-            task=index, failures=self._failures[index],
-        )
-        payload = self._payloads[index]
-        if not self._inline:
-            payload = pickle.loads(payload)
-        self._ready.append((index, _execute_task(payload)))
-
-    def _handle_failure(self, worker: Optional[_Worker], index: int,
-                        attempt: int, reason: str) -> None:
-        if worker is not None:
-            worker.task = None
-        if index in self._resolved:
-            return
-        self._failures[index] += 1
-        if self._dispatches[index] < 1 + self._policy.max_task_retries:
-            delay = self._policy.backoff(self._failures[index])
-            self.report.task_retries += 1
-            self._observer.record(
-                "runtime_task_retries_total", "runtime.task_retry",
-                task=index, attempt=attempt, reason=reason,
-                backoff_s=round(delay, 4),
-            )
-            heapq.heappush(self._pending,
-                           (time.monotonic() + delay, self._sequence, index))
-            self._sequence += 1
-        elif self._inflight[index] == 0:
-            self._degrade(index)
-
-    def _respawn_if_short(self) -> None:
-        if len(self._workers) >= self._processes:
-            return
-        if self.report.worker_respawns >= self._policy.max_worker_respawns:
-            return
-        self.report.worker_respawns += 1
-        replacement = self._spawn()
-        self._workers.append(replacement)
-        self._observer.record(
-            "runtime_worker_respawns_total", "runtime.worker_respawn",
-            pid=replacement.process.pid,
-        )
-
-    def _step(self) -> None:
-        """One event-loop iteration: dispatch, wait, reap, recover."""
-        now = time.monotonic()
-        if not self._workers:
-            # The whole pool is gone and cannot be rebuilt: degrade every
-            # unresolved queued task (later submissions land here too).
-            while self._pending:
-                _, _, index = heapq.heappop(self._pending)
-                if index not in self._resolved:
-                    self._degrade(index)
-            return
-
-        idle = [worker for worker in self._workers if worker.task is None]
-        while idle and self._pending and self._pending[0][0] <= now:
-            _, _, index = heapq.heappop(self._pending)
-            if index in self._resolved:
-                continue
-            worker = idle.pop()
-            attempt = self._dispatches[index]
-            self._dispatches[index] += 1
-            self._inflight[index] += 1
-            worker.task = (index, attempt, None)
-            try:
-                worker.conn.send(("task", index, attempt,
-                                  self._payloads[index]))
-            except (BrokenPipeError, OSError):
-                # Died between dispatches; the sentinel handler below
-                # reaps the worker and recovers the task as a failure.
-                pass
-
-        busy = [worker for worker in self._workers
-                if worker.task is not None]
-        # Block until a result or crash wakes us.  A deadline applies
-        # only when an idle worker is waiting out a retry backoff: the
-        # dispatch loop above has already drained every ready task, so
-        # a non-empty queue with all workers busy must NOT set a zero
-        # timeout — that degenerates into a busy-spin that steals the
-        # CPU from the workers it is waiting on.
-        timeout = None
-        if self._pending and len(busy) < len(self._workers):
-            timeout = max(0.0, self._pending[0][0] - time.monotonic())
-        waitable = ([worker.conn for worker in busy]
-                    + [worker.process.sentinel for worker in self._workers])
-        ready = connection.wait(waitable, timeout)
-
-        conn_of = {worker.conn: worker for worker in busy}
-        sentinel_of = {worker.process.sentinel: worker
-                       for worker in self._workers}
-        crashed: List[_Worker] = []
-        for item in ready:
-            if item in conn_of:
-                worker = conn_of[item]
-                try:
-                    index, attempt, status, value = worker.conn.recv()
-                except (EOFError, OSError):
-                    crashed.append(worker)  # died mid-send
-                    continue
-                self._inflight[index] -= 1
-                if status == "ok":
-                    worker.task = None
-                    if index not in self._resolved:
-                        self._resolved.add(index)
-                        self._ready.append((index, value))
-                else:
-                    self._handle_failure(worker, index, attempt, value)
-            elif item in sentinel_of:
-                crashed.append(sentinel_of[item])
-
-        for worker in crashed:
-            if worker not in self._workers:
-                continue
-            self._workers.remove(worker)
-            self.report.worker_crashes += 1
-            self._observer.record(
-                "runtime_worker_crashes_total", "runtime.worker_crash",
-                exitcode=worker.process.exitcode, pid=worker.process.pid,
-            )
-            task = worker.task
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.process.join()
-            if task is not None:
-                index, attempt, _ = task
-                self._inflight[index] -= 1
-                self._handle_failure(None, index, attempt, "worker-crash")
-            self._respawn_if_short()
-
-    def close(self) -> None:
-        """Stop, terminate, and reap every worker (idempotent)."""
-        _shutdown(self._workers)
-        self._workers = []
 
 
 def run_pipeline(
@@ -598,7 +273,7 @@ def run_pipeline(
         raise ValueError("pre-pruned mode needs both record_ids and candidates")
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    pivot_shard.require_pair_deterministic(answers)
+    pivot_shard.require_pair_deterministic(answers, "generation")
 
     ids = ([record.record_id for record in records]
            if records is not None else list(record_ids))
@@ -659,10 +334,6 @@ def run_pipeline(
         if checkpoints is not None:
             checkpoints.save("pruning", candidate_state(candidates))
 
-    if workers > 1 and not fork_available():
-        notify_parallel_fallback(obs, requested=workers,
-                                 context="run_pipeline")
-
     if restored_refinement is not None:
         stats = CrowdStats.from_state(restored_refinement["stats"])
     elif restored is not None:
@@ -674,12 +345,12 @@ def run_pipeline(
     source = oracle.source
     fork_source = getattr(source, "fork_source", source)
 
-    pivot_diagnostics: Optional[PCPivotDiagnostics] = None
-    refine_diagnostics: Optional[PCRefineDiagnostics] = None
     need_tasks = restored_refinement is None and (
         restored is None or refine)
-    pool: Optional[_PipelinePool] = None
+    pool: Optional[SupervisedPool] = None
     component_logs: Dict[int, list] = {}
+    #: Outstanding pivot task -> the components (by smallest member) it ran.
+    pivot_of: Dict[int, List[int]] = {}
 
     with maybe_span(obs, "pipeline", workers=workers,
                     pruning_shards=num_shards, records=len(ids)):
@@ -696,25 +367,29 @@ def run_pipeline(
                                if candidates is not None else threshold),
                 )
 
-            def pool_factory() -> _PipelinePool:
+            def pool_factory() -> SupervisedPool:
                 nonlocal pool
-                pool = _PipelinePool(workers, policy=supervisor_policy,
-                                     obs=obs, fault_plan=fault_plan,
-                                     timings=timings)
+                pool = SupervisedPool(
+                    _execute_task, workers, state=_PIPELINE_STATE,
+                    policy=dataclasses.replace(
+                        supervisor_policy or SupervisorPolicy(),
+                        task_deadline_s=None),
+                    obs=obs, fault_plan=fault_plan, label="pipeline",
+                )
                 return pool
 
             components: Optional[List[Tuple[int, ...]]] = None
             if restored_refinement is None and restored is None:
                 if candidates is None:
-                    candidates, components = _streamed_pruning_phase(
-                        pool_factory, records, similarity, threshold,
-                        num_shards, kernel_backend, ids, component_logs,
-                        obs, checkpoints,
-                    )
+                    candidates, components, pivot_of = (
+                        _streamed_pruning_phase(
+                            pool_factory, records, similarity, threshold,
+                            num_shards, kernel_backend, ids, component_logs,
+                            obs, checkpoints,
+                        ))
                 else:
-                    components = _dispatch_all_components(
-                        pool_factory(), ids, candidates, component_logs,
-                        obs)
+                    components, pivot_of = _dispatch_all_components(
+                        pool_factory(), ids, candidates, obs)
             elif need_tasks:
                 pool_factory()
 
@@ -722,7 +397,7 @@ def run_pipeline(
                 pool, ids, candidates, oracle, answers, stats, permutation,
                 epsilon, threshold_divisor, num_buckets, refine, ranking,
                 obs, checkpoints, resume, restored, restored_refinement,
-                component_logs, components,
+                component_logs, pivot_of, components,
             )
         finally:
             if pool is not None:
@@ -791,7 +466,7 @@ class _PivotBatcher:
     micro-tasks.
     """
 
-    def __init__(self, pool: _PipelinePool, budget: int,
+    def __init__(self, pool: SupervisedPool, budget: int,
                  pivot_of: Dict[int, List[int]]):
         self._pool = pool
         self._budget = max(1, budget)
@@ -818,7 +493,7 @@ class _PivotBatcher:
         self._vertices = 0
 
 
-def _collect_one(pool: _PipelinePool, prune_of: Dict[int, int],
+def _collect_one(pool: SupervisedPool, prune_of: Dict[int, int],
                  shard_queue: deque, batcher: _PivotBatcher,
                  pivot_of: Dict[int, List[int]],
                  merged: Dict[Pair, float],
@@ -866,7 +541,7 @@ def _streamed_pruning_phase(
     pool_factory, records, similarity, threshold: float,
     num_shards: int, kernel_backend: str, ids: Sequence[int],
     component_logs: Dict[int, list], obs, checkpoints,
-) -> Tuple[CandidateSet, List[Tuple[int, ...]]]:
+) -> Tuple[CandidateSet, List[Tuple[int, ...]], Dict[int, List[int]]]:
     """Phase A: run pruning shards, streaming sealed components to pivot.
 
     Byte-identical to the barrier
@@ -874,7 +549,8 @@ def _streamed_pruning_phase(
     same join plan, same per-shard survivors, same sorted merge, same
     ``pruning`` span and gauges.  Pivot tasks dispatched here are
     collected later by :func:`_crowd_phases` — only the pruning tasks
-    gate this phase's exit.
+    gate this phase's exit — so the returned ``pivot_of`` maps each
+    still-outstanding pivot task to the components it runs.
     """
     resolved_backend = resolve_kernel_backend(kernel_backend)
     metric = similarity.set_metric
@@ -947,17 +623,16 @@ def _streamed_pruning_phase(
             ).set(len(surviving))
     if checkpoints is not None:
         checkpoints.save("pruning", candidate_state(candidates))
-    # Drain any pivot results that landed while pruning finished; the
-    # rest are collected by the generation barrier.
-    pool.pivot_of = pivot_of  # type: ignore[attr-defined]
-    return candidates, sealed_components
+    return candidates, sealed_components, pivot_of
 
 
 def _dispatch_all_components(
-    pool: _PipelinePool, ids: Sequence[int], candidates: CandidateSet,
-    component_logs: Dict[int, list], obs,
-) -> List[Tuple[int, ...]]:
-    """Pre-pruned entry: every component is already sealed — dispatch all."""
+    pool: SupervisedPool, ids: Sequence[int], candidates: CandidateSet, obs,
+) -> Tuple[List[Tuple[int, ...]], Dict[int, List[int]]]:
+    """Pre-pruned entry: every component is already sealed — dispatch all.
+
+    Returns the component list and the pivot task -> components map.
+    """
     components = connected_components(ids, candidates.pairs)
     edges_of: Dict[int, List[Pair]] = {}
     comp_of: Dict[int, int] = {}
@@ -978,17 +653,16 @@ def _dispatch_all_components(
         obs.event("pipeline.seal", shard=None, sealed=len(components),
                   dispatched=batcher.dispatched,
                   queue_depth=pool.outstanding)
-    pool.pivot_of = pivot_of  # type: ignore[attr-defined]
-    return components
+    return components, pivot_of
 
 
 def _crowd_phases(
-    pool: Optional[_PipelinePool], ids: Sequence[int],
+    pool: Optional[SupervisedPool], ids: Sequence[int],
     candidates: CandidateSet, oracle: CrowdOracle, answers,
     stats: CrowdStats, permutation: Permutation, epsilon: float,
     threshold_divisor: float, num_buckets: int, refine: bool, ranking: str,
     obs, checkpoints, resume: bool, restored, restored_refinement,
-    component_logs: Dict[int, list],
+    component_logs: Dict[int, list], pivot_of: Dict[int, List[int]],
     components: Optional[List[Tuple[int, ...]]] = None,
 ) -> ACDResult:
     """Phases B/C: generation merge barrier, refinement, result assembly.
@@ -1027,7 +701,6 @@ def _crowd_phases(
                 if refine:
                     prepared = refine_shard.prepare_refine_partition(
                         components, candidates)
-                pivot_of = getattr(pool, "pivot_of", {})
                 while pivot_of:
                     index, value = pool.next_result()
                     for key, logs in zip(pivot_of.pop(index), value):
@@ -1083,7 +756,7 @@ def _crowd_phases(
 
 
 def _refine_phase(
-    pool: _PipelinePool, clustering: Clustering, candidates: CandidateSet,
+    pool: SupervisedPool, clustering: Clustering, candidates: CandidateSet,
     oracle: CrowdOracle, num_records: int, threshold_divisor: float,
     num_buckets: int, diagnostics: PCRefineDiagnostics, ranking: str,
     obs, source, prepared=None,
@@ -1097,7 +770,7 @@ def _refine_phase(
     concurrently and the parent replays the merged rounds.  Semantics
     and output are exactly :func:`repro.core.refine_shard.pc_refine_sharded`'s.
     """
-    refine_shard.require_pair_deterministic(source)
+    pivot_shard.require_pair_deterministic(source, "refinement")
     if prepared is None:
         # Restore paths arrive here without the pre-drain index pass.
         components, multi, multi_components, estimator, budget = (

@@ -1,10 +1,13 @@
-"""A supervised fork pool: worker death, stragglers, retries, degradation.
+"""The supervised fork pool: worker death, stragglers, retries, degradation.
 
 The raw ``multiprocessing.Pool`` the pruning layer used has a famous
 failure mode: an OOM-killed or segfaulted worker leaves ``Pool.map``
 hanging (or crashing) with no record of which chunk died.  This module is
-the drop-in replacement.  It manages worker processes directly — one
-duplex pipe each — and supervises every dispatched task:
+the replacement, and every parallel phase of ACD runs on it: the sharded
+pruning join, the PC-Pivot and PC-Refine component shards, and the
+component-streaming pipeline.  :class:`SupervisedPool` manages worker
+processes directly — one duplex pipe each — and supervises every
+dispatched task:
 
 - **Crash detection.**  Worker process sentinels are part of the event
   loop; a dead worker (non-zero exitcode, broken pipe) is detected
@@ -24,6 +27,14 @@ duplex pipe each — and supervises every dispatched task:
   pure and fork-state is still published in the parent, so the degraded
   result is byte-identical — the run completes, slower, never wrong.
 
+The pool is persistent: tasks are submitted as their inputs become
+available and collected in completion order, and :meth:`broadcast`
+extends the workers' fork-time module state with values that exist only
+after the fork.  :func:`supervised_map` is the one-barrier form — submit
+everything, collect by index.  Below two processes, or without the
+``fork`` start method, the pool runs inline in the parent (the latter
+reported through :func:`notify_parallel_fallback`).
+
 Every decision is observable: ``runtime.worker_crash`` /
 ``runtime.task_retry`` / ``runtime.straggler_redispatch`` /
 ``runtime.straggler_termination`` /
@@ -31,10 +42,10 @@ Every decision is observable: ``runtime.worker_crash`` /
 attached :class:`~repro.obs.ObsContext`, matching ``runtime_*_total``
 metrics counters, and a :class:`RuntimeReport` returned to the caller.
 
-Determinism contract: results are assembled by task index, workers and
-the degraded path compute the same pure function, so the output of
-:func:`supervised_map` is byte-identical to a serial loop over the tasks
-for every schedule of crashes, stragglers, and retries.
+Determinism contract: workers, the inline path and the degraded path
+compute the same pure function, so the output of :func:`supervised_map`
+(assembled by task index) is byte-identical to a serial loop over the
+tasks for every schedule of crashes, stragglers, and retries.
 """
 
 from __future__ import annotations
@@ -42,10 +53,12 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
+import pickle
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime.faults import ProcessFaultPlan
 
@@ -133,13 +146,48 @@ class RuntimeReport:
         }
 
 
-def _worker_main(worker_fn: Callable[[Any], Any], conn,
-                 fault_plan: Optional[ProcessFaultPlan]) -> None:
-    """Worker process body: serve tasks off the pipe until told to stop.
+class ParallelFallbackWarning(RuntimeWarning):
+    """A requested parallel run fell back to the serial path."""
 
-    Chaos faults are applied *here*, per (task, attempt), so the parent's
-    serial degradation path (which never enters this function) always
-    runs clean — that is the bottom rung of the degradation ladder.
+
+def fork_available() -> bool:
+    """Whether the fork start method (required for the pool) exists."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def notify_parallel_fallback(obs, *, requested: int, context: str) -> None:
+    """Record that a ``parallel``/``processes`` request ran serially.
+
+    Raises a :class:`ParallelFallbackWarning` (always) and emits a
+    ``pruning.parallel_fallback`` warning event on ``obs`` (when attached)
+    with the requested worker count and the call site — results are still
+    byte-identical, only the wall-clock expectation is not met.
+    """
+    message = (
+        f"{context}: {requested} worker processes requested but the 'fork' "
+        "start method is unavailable on this platform; running serially "
+        "(results are identical, only slower)"
+    )
+    warnings.warn(message, ParallelFallbackWarning, stacklevel=3)
+    if obs is not None:
+        obs.event(
+            "pruning.parallel_fallback",
+            requested=requested,
+            context=context,
+            reason="fork-unavailable",
+        )
+
+
+def _worker_main(worker_fn: Callable[[Any], Any], state: Dict[str, Any],
+                 conn, fault_plan: Optional[ProcessFaultPlan]) -> None:
+    """Worker process body: tasks, state broadcasts, chaos directives.
+
+    A ``("state", key, value)`` message extends the fork-time ``state``
+    snapshot with a value published after the fork; pipe FIFO ordering
+    delivers it before any task submitted afterwards.  Chaos faults are
+    applied *here*, per (task, attempt), so the parent's inline and
+    degraded paths (which never enter this function) always run clean —
+    that is the bottom rung of the degradation ladder.
     """
     try:
         while True:
@@ -149,7 +197,10 @@ def _worker_main(worker_fn: Callable[[Any], Any], conn,
                 return
             if message[0] == "stop":
                 return
-            _, index, attempt, payload = message
+            if message[0] == "state":
+                state[message[1]] = message[2]
+                continue
+            _, index, attempt, blob = message
             directive = (fault_plan.directive(index, attempt)
                          if fault_plan is not None else None)
             if directive is not None:
@@ -163,7 +214,7 @@ def _worker_main(worker_fn: Callable[[Any], Any], conn,
                                f"attempt {attempt})"))
                     continue
             try:
-                result = worker_fn(payload)
+                result = worker_fn(pickle.loads(blob))
             except BaseException as error:  # noqa: BLE001 - forwarded
                 outcome: Tuple = (index, attempt, "error", repr(error))
             else:
@@ -189,20 +240,349 @@ class _Worker:
     deadline_fired: bool = False
 
 
-class _Observer:
-    """Fans supervisor decisions out to obs events + metrics counters."""
+class SupervisedPool:
+    """A persistent supervised pool of forked workers running one function.
 
-    def __init__(self, obs, label: str):
+    Tasks are submitted with :meth:`submit` and collected in completion
+    order with :meth:`next_result`; the fault ladder of the module
+    docstring runs underneath.  Each payload is pickled once at
+    submission — every dispatch, retries included, ships the same blob,
+    so :attr:`bytes_shipped` is exact.  With ``processes < 2`` or without
+    ``fork`` the pool runs *inline*: each task executes in the parent, in
+    submission order, when its result is requested, and fault plans do
+    not apply.
+
+    Args:
+        worker_fn: A *pure* picklable-result function of one payload.
+            It is carried to workers by fork (closures are fine) and may
+            read module globals published before the pool is built.
+        processes: Worker process count (>= 0).
+        state: The module-global dict ``worker_fn`` reads its shared
+            inputs from; :meth:`broadcast` extends it in the parent and
+            in every worker.
+        policy: Fault-handling knobs (default :class:`SupervisorPolicy`).
+        obs: Optional :class:`~repro.obs.ObsContext` receiving
+            ``runtime.*`` events and ``runtime_*_total`` counters.
+        fault_plan: Deterministic chaos injected inside workers; its task
+            keys are submission indices.
+        label: Pool name recorded on every event.
+    """
+
+    def __init__(self, worker_fn: Callable[[Any], Any], processes: int, *,
+                 state: Optional[Dict[str, Any]] = None,
+                 policy: Optional[SupervisorPolicy] = None,
+                 obs=None,
+                 fault_plan: Optional[ProcessFaultPlan] = None,
+                 label: str = "runtime"):
+        if processes < 0:
+            raise ValueError(f"processes must be >= 0, got {processes}")
+        self._worker_fn = worker_fn
+        self._state = state if state is not None else {}
+        self._policy = policy if policy is not None else SupervisorPolicy()
         self._obs = obs
+        self._fault_plan = fault_plan
         self._label = label
+        self._processes = processes
+        self.report = RuntimeReport()
+        self.bytes_shipped = 0
+        #: Submitted payloads (pickled blobs unless inline), by index.
+        self._payloads: List[Any] = []
+        #: Min-heap of (ready_at_monotonic, sequence, task_index).
+        self._pending: List[Tuple[float, int, int]] = []
+        self._sequence = 0
+        #: Executions dispatched so far, per task (first run + retries + dups).
+        self._dispatches: List[int] = []
+        #: Executions that failed (crash or raise), per task.
+        self._failures: List[int] = []
+        #: Executions currently running in some worker, per task.
+        self._inflight: List[int] = []
+        #: Tasks whose result is decided (queued in _ready or delivered).
+        self._resolved: Set[int] = set()
+        self._ready: List[Tuple[int, Any]] = []
+        self._outstanding = 0
+        self._workers: List[_Worker] = []
+        self._inline = processes < 2 or not fork_available()
+        if processes >= 2 and self._inline:
+            notify_parallel_fallback(obs, requested=processes, context=label)
+        if not self._inline:
+            self._context = multiprocessing.get_context("fork")
+            self._workers = [self._spawn() for _ in range(processes)]
 
-    def record(self, counter: str, event: str, **attrs: Any) -> None:
+    @property
+    def outstanding(self) -> int:
+        """Submitted tasks whose results have not been delivered yet."""
+        return self._outstanding
+
+    def _record(self, counter: str, event: str, **attrs: Any) -> None:
+        """Fan one supervisor decision out to obs events + counters."""
         if self._obs is None:
             return
         self._obs.metrics.counter(
             counter, help=f"Supervised-pool {event} occurrences",
         ).inc()
         self._obs.event(event, pool=self._label, **attrs)
+
+    def _spawn(self) -> _Worker:
+        parent_conn, child_conn = self._context.Pipe()
+        process = self._context.Process(
+            target=_worker_main,
+            args=(self._worker_fn, self._state, child_conn, self._fault_plan),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return _Worker(process=process, conn=parent_conn)
+
+    def broadcast(self, key: str, value: Any) -> None:
+        """Publish late-bound state to the parent and every live worker.
+
+        The parent's state is set *first*: respawned workers fork from
+        parent memory after this point and inherit the value, and the
+        inline/degraded paths read it directly.  Live workers receive a
+        ``state`` message, which pipe FIFO ordering delivers before any
+        task submitted afterwards.
+        """
+        self._state[key] = value
+        for worker in self._workers:
+            try:
+                worker.conn.send(("state", key, value))
+            except (BrokenPipeError, OSError):
+                pass  # the crash handler reaps it on the next step
+
+    def submit(self, payload: Any) -> int:
+        """Queue a task; returns its index (also the fault-plan key)."""
+        index = len(self._payloads)
+        if self._inline:
+            self._payloads.append(payload)
+        else:
+            blob = pickle.dumps(payload)
+            self._payloads.append(blob)
+            self.bytes_shipped += len(blob)
+        self._dispatches.append(0)
+        self._failures.append(0)
+        self._inflight.append(0)
+        self._outstanding += 1
+        self.report.tasks += 1
+        self._queue(0.0, index)
+        return index
+
+    def next_result(self) -> Tuple[int, Any]:
+        """Block until some submitted task completes; return (index, value)."""
+        if self._outstanding == 0:
+            raise RuntimeError("no outstanding tasks")
+        while not self._ready:
+            if self._inline:
+                _, _, index = heapq.heappop(self._pending)
+                self._ready.append(
+                    (index, self._worker_fn(self._payloads[index])))
+            else:
+                self._step()
+        self._outstanding -= 1
+        return self._ready.pop(0)
+
+    def close(self) -> None:
+        """Stop, terminate, and reap every worker (idempotent)."""
+        _shutdown(self._workers)
+        self._workers = []
+
+    def _degrade(self, index: int) -> None:
+        """Bottom rung: run a task in-parent, fault-free, byte-identical."""
+        if index in self._resolved:
+            return
+        self._resolved.add(index)
+        self.report.degraded_serial += 1
+        self._record(
+            "runtime_degraded_serial_total", "runtime.degraded_serial",
+            task=index, failures=self._failures[index],
+        )
+        payload = pickle.loads(self._payloads[index])
+        self._ready.append((index, self._worker_fn(payload)))
+
+    def _handle_failure(self, worker: Optional[_Worker], index: int,
+                        attempt: int, reason: str) -> None:
+        if worker is not None:
+            worker.task = None
+            worker.deadline_fired = False
+        if index in self._resolved:
+            return
+        self._failures[index] += 1
+        if self._dispatches[index] < 1 + self._policy.max_task_retries:
+            delay = self._policy.backoff(self._failures[index])
+            self.report.task_retries += 1
+            self._record(
+                "runtime_task_retries_total", "runtime.task_retry",
+                task=index, attempt=attempt, reason=reason,
+                backoff_s=round(delay, 4),
+            )
+            self._queue(time.monotonic() + delay, index)
+        elif self._inflight[index] == 0:
+            self._degrade(index)
+
+    def _queue(self, ready_at: float, index: int) -> None:
+        heapq.heappush(self._pending, (ready_at, self._sequence, index))
+        self._sequence += 1
+
+    def _top_up(self) -> None:
+        """Respawn workers lost to crashes while unresolved work remains."""
+        unresolved = len(self._payloads) - len(self._resolved)
+        while (len(self._workers) < min(self._processes, unresolved)
+               and self.report.worker_respawns
+               < self._policy.max_worker_respawns):
+            self.report.worker_respawns += 1
+            replacement = self._spawn()
+            self._workers.append(replacement)
+            self._record(
+                "runtime_worker_respawns_total", "runtime.worker_respawn",
+                pid=replacement.process.pid,
+            )
+
+    def _step(self) -> None:
+        """One event-loop iteration: dispatch, wait, reap, recover."""
+        self._top_up()
+        if not self._workers:
+            # The whole pool is gone and cannot be rebuilt: degrade every
+            # unresolved queued task (later submissions land here too).
+            while self._pending:
+                _, _, index = heapq.heappop(self._pending)
+                self._degrade(index)
+            return
+
+        now = time.monotonic()
+        deadline_s = self._policy.task_deadline_s
+        idle = [worker for worker in self._workers if worker.task is None]
+        while idle and self._pending and self._pending[0][0] <= now:
+            _, _, index = heapq.heappop(self._pending)
+            if index in self._resolved:
+                continue
+            worker = idle.pop()
+            attempt = self._dispatches[index]
+            self._dispatches[index] += 1
+            self._inflight[index] += 1
+            worker.task = (index, attempt,
+                           now + deadline_s if deadline_s is not None
+                           else None)
+            worker.deadline_fired = False
+            try:
+                worker.conn.send(("task", index, attempt,
+                                  self._payloads[index]))
+            except (BrokenPipeError, OSError):
+                # Died between dispatches; the sentinel handler below
+                # reaps the worker and recovers the task as a failure.
+                pass
+
+        busy = [worker for worker in self._workers
+                if worker.task is not None]
+        # Block until a result, crash, or deadline wakes us.  A backoff
+        # wakeup applies only when an idle worker is waiting out a retry:
+        # the dispatch loop above has already drained every ready task,
+        # so a non-empty queue with all workers busy must NOT set a zero
+        # timeout — that degenerates into a busy-spin that steals the CPU
+        # from the workers it is waiting on.
+        wakeups = [worker.task[2] for worker in busy
+                   if worker.task[2] is not None
+                   and not worker.deadline_fired]
+        if self._pending and len(busy) < len(self._workers):
+            wakeups.append(self._pending[0][0])
+        timeout = (max(0.0, min(wakeups) - time.monotonic())
+                   if wakeups else None)
+        waitable = ([worker.conn for worker in busy]
+                    + [worker.process.sentinel for worker in self._workers])
+        ready = connection.wait(waitable, timeout)
+
+        conn_of = {worker.conn: worker for worker in busy}
+        sentinel_of = {worker.process.sentinel: worker
+                       for worker in self._workers}
+        crashed: List[_Worker] = []
+        for item in ready:
+            if item in conn_of:
+                worker = conn_of[item]
+                try:
+                    index, attempt, status, value = worker.conn.recv()
+                except (EOFError, OSError):
+                    crashed.append(worker)  # died mid-send
+                    continue
+                self._inflight[index] -= 1
+                if status == "ok":
+                    worker.task = None
+                    worker.deadline_fired = False
+                    if index not in self._resolved:
+                        self._resolved.add(index)
+                        self._ready.append((index, value))
+                else:
+                    self._handle_failure(worker, index, attempt, value)
+            elif item in sentinel_of:
+                crashed.append(sentinel_of[item])
+
+        for worker in crashed:
+            if worker not in self._workers:
+                continue
+            self._workers.remove(worker)
+            self.report.worker_crashes += 1
+            self._record(
+                "runtime_worker_crashes_total", "runtime.worker_crash",
+                exitcode=worker.process.exitcode, pid=worker.process.pid,
+            )
+            try:
+                worker.conn.close()
+            except OSError:
+                pass
+            worker.process.join()
+            if worker.task is not None:
+                index, attempt, _ = worker.task
+                self._inflight[index] -= 1
+                self._handle_failure(None, index, attempt, "worker-crash")
+
+        if deadline_s is not None:
+            self._check_deadlines()
+
+    def _check_deadlines(self) -> None:
+        """Straggler re-dispatch: expired deadlines queue a duplicate.
+
+        A straggler that cannot be re-dispatched (task resolved by a
+        duplicate, or retry budget already spent) is terminated outright
+        — merely flagging it would leave the loop blocked in
+        ``connection.wait`` with no timeout, waiting forever on a hung
+        worker that would never answer.
+        """
+        now = time.monotonic()
+        for worker in list(self._workers):
+            if (worker.task is None or worker.deadline_fired
+                    or worker.task[2] > now):
+                continue
+            index, attempt, _ = worker.task
+            worker.deadline_fired = True
+            if (index in self._resolved or self._dispatches[index]
+                    >= 1 + self._policy.max_task_retries):
+                self._terminate_straggler(worker)
+                continue
+            self.report.straggler_redispatches += 1
+            self._record(
+                "runtime_straggler_redispatches_total",
+                "runtime.straggler_redispatch",
+                task=index, attempt=attempt,
+                deadline_s=self._policy.task_deadline_s,
+            )
+            self._queue(now, index)
+
+    def _terminate_straggler(self, worker: _Worker) -> None:
+        self._workers.remove(worker)
+        index, attempt, _ = worker.task
+        self.report.straggler_terminations += 1
+        self._record(
+            "runtime_straggler_terminations_total",
+            "runtime.straggler_termination",
+            task=index, attempt=attempt, pid=worker.process.pid,
+            deadline_s=self._policy.task_deadline_s,
+        )
+        worker.process.terminate()
+        worker.process.join()
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        self._inflight[index] -= 1
+        if self._inflight[index] == 0:
+            self._degrade(index)
 
 
 def supervised_map(
@@ -214,12 +594,12 @@ def supervised_map(
     fault_plan: Optional[ProcessFaultPlan] = None,
     label: str = "runtime",
 ) -> Tuple[List[Any], RuntimeReport]:
-    """Map ``worker_fn`` over ``payloads`` under supervision.
+    """Map ``worker_fn`` over ``payloads`` on a :class:`SupervisedPool`.
 
     A drop-in replacement for ``Pool.map`` over pure functions, with the
-    fault handling described in the module docstring.  Requires the
-    ``fork`` start method (the callers' existing platform contract —
-    they fall back to their serial paths without it).
+    fault handling described in the module docstring.  The pool gets
+    ``min(processes, len(payloads))`` workers, so one payload (or one
+    process) runs inline in the parent.
 
     Args:
         worker_fn: A *pure* picklable-result function of one payload.
@@ -237,255 +617,23 @@ def supervised_map(
         ``(results, report)`` — results in payload order, byte-identical
         to ``[worker_fn(p) for p in payloads]``.
     """
-    policy = policy if policy is not None else SupervisorPolicy()
-    report = RuntimeReport(tasks=len(payloads))
     if not payloads:
-        return [], report
+        return [], RuntimeReport()
     if processes < 1:
         raise ValueError(f"processes must be >= 1, got {processes}")
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise RuntimeError(
-            "supervised_map requires the 'fork' start method; callers "
-            "must fall back to their serial path on this platform"
-        )
-    context = multiprocessing.get_context("fork")
-    observer = _Observer(obs, label)
-
-    total = len(payloads)
-    results: Dict[int, Any] = {}
-    #: Executions dispatched so far, per task (first run + retries + dups).
-    dispatches = [0] * total
-    #: Executions currently running in some worker, per task.
-    inflight = [0] * total
-    #: Executions that failed (crash or raise), per task.
-    failures = [0] * total
-    degraded: List[int] = []
-    #: Min-heap of (ready_at_monotonic, sequence, task_index).
-    pending: List[Tuple[float, int, int]] = [
-        (0.0, index, index) for index in range(total)
-    ]
-    heapq.heapify(pending)
-    sequence = total
-    attempt_budget = 1 + policy.max_task_retries
-
-    def spawn() -> _Worker:
-        parent_conn, child_conn = context.Pipe()
-        process = context.Process(
-            target=_worker_main, args=(worker_fn, child_conn, fault_plan),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _Worker(process=process, conn=parent_conn)
-
-    def mark_degraded(index: int) -> None:
-        if index not in degraded and index not in results:
-            degraded.append(index)
-
-    def handle_failure(worker: Optional[_Worker], index: int,
-                       attempt: int, reason: str) -> None:
-        nonlocal sequence
-        if worker is not None:
-            worker.task = None
-            worker.deadline_fired = False
-        if index in results or index in degraded:
-            return
-        failures[index] += 1
-        if dispatches[index] < attempt_budget:
-            delay = policy.backoff(failures[index])
-            report.task_retries += 1
-            observer.record(
-                "runtime_task_retries_total", "runtime.task_retry",
-                task=index, attempt=attempt, reason=reason,
-                backoff_s=round(delay, 4),
-            )
-            heapq.heappush(pending,
-                           (time.monotonic() + delay, sequence, index))
-            sequence += 1
-        elif inflight[index] == 0:
-            mark_degraded(index)
-
-    workers: List[_Worker] = [spawn()
-                              for _ in range(min(processes, total))]
+    pool = SupervisedPool(worker_fn, min(processes, len(payloads)),
+                          policy=policy, obs=obs, fault_plan=fault_plan,
+                          label=label)
     try:
-        while len(results) + len(degraded) < total:
-            now = time.monotonic()
-
-            # Dispatch ready pending tasks onto idle workers.
-            idle = [worker for worker in workers if worker.task is None]
-            while idle and pending and pending[0][0] <= now:
-                _, _, index = heapq.heappop(pending)
-                if index in results or index in degraded:
-                    continue
-                worker = idle.pop()
-                attempt = dispatches[index]
-                dispatches[index] += 1
-                inflight[index] += 1
-                deadline = (now + policy.task_deadline_s
-                            if policy.task_deadline_s is not None else None)
-                worker.task = (index, attempt, deadline)
-                worker.deadline_fired = False
-                try:
-                    worker.conn.send(("task", index, attempt,
-                                      payloads[index]))
-                except (BrokenPipeError, OSError):
-                    # The worker died between dispatches; leave the task
-                    # recorded on it — the sentinel handler below reaps
-                    # the worker and recovers the task as a failure.
-                    pass
-
-            if not workers:
-                # The whole pool is gone and cannot be rebuilt: degrade
-                # everything still unresolved.
-                for index in range(total):
-                    if index not in results:
-                        mark_degraded(index)
-                break
-
-            busy = [worker for worker in workers if worker.task is not None]
-            if not busy and not pending:
-                break  # everything resolved or queued for degradation
-
-            # Sleep until the next result, crash, deadline, or backoff.
-            wakeups = [worker.task[2] for worker in busy
-                       if worker.task[2] is not None
-                       and not worker.deadline_fired]
-            if pending:
-                wakeups.append(pending[0][0])
-            timeout = (max(0.0, min(wakeups) - time.monotonic())
-                       if wakeups else None)
-            waitable = ([worker.conn for worker in busy]
-                        + [worker.process.sentinel for worker in workers])
-            ready = connection.wait(waitable, timeout)
-
-            sentinel_of = {worker.process.sentinel: worker
-                           for worker in workers}
-            conn_of = {worker.conn: worker for worker in busy}
-            crashed: List[_Worker] = []
-            for item in ready:
-                if item in conn_of:
-                    worker = conn_of[item]
-                    try:
-                        index, attempt, status, value = worker.conn.recv()
-                    except (EOFError, OSError):
-                        crashed.append(worker)  # died mid-send
-                        continue
-                    inflight[index] -= 1
-                    if status == "ok":
-                        worker.task = None
-                        worker.deadline_fired = False
-                        if index not in results and index not in degraded:
-                            results[index] = value
-                    else:
-                        handle_failure(worker, index, attempt, value)
-                elif item in sentinel_of:
-                    crashed.append(sentinel_of[item])
-
-            for worker in crashed:
-                if worker not in workers:
-                    continue
-                workers.remove(worker)
-                report.worker_crashes += 1
-                observer.record(
-                    "runtime_worker_crashes_total", "runtime.worker_crash",
-                    exitcode=worker.process.exitcode,
-                    pid=worker.process.pid,
-                )
-                task = worker.task
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-                worker.process.join()
-                if task is not None:
-                    index, attempt, _ = task
-                    inflight[index] -= 1
-                    handle_failure(None, index, attempt, "worker-crash")
-                remaining = total - len(results) - len(degraded)
-                if remaining > 0 and len(workers) < min(processes, remaining):
-                    if report.worker_respawns < policy.max_worker_respawns:
-                        report.worker_respawns += 1
-                        replacement = spawn()
-                        workers.append(replacement)
-                        observer.record(
-                            "runtime_worker_respawns_total",
-                            "runtime.worker_respawn",
-                            pid=replacement.process.pid,
-                        )
-
-            # Straggler re-dispatch: expired deadlines queue a duplicate.
-            # A straggler that cannot be re-dispatched (task resolved by a
-            # duplicate, or retry budget already spent) is terminated
-            # outright — merely flagging it used to leave the loop blocked
-            # in connection.wait with no timeout, waiting forever on a
-            # hung worker that would never answer.
-            now = time.monotonic()
-            hung: List[_Worker] = []
-            for worker in workers:
-                if (worker.task is None or worker.deadline_fired
-                        or worker.task[2] is None or worker.task[2] > now):
-                    continue
-                index, attempt, _ = worker.task
-                worker.deadline_fired = True
-                if (index in results or index in degraded
-                        or dispatches[index] >= attempt_budget):
-                    hung.append(worker)
-                    continue
-                report.straggler_redispatches += 1
-                observer.record(
-                    "runtime_straggler_redispatches_total",
-                    "runtime.straggler_redispatch",
-                    task=index, attempt=attempt,
-                    deadline_s=policy.task_deadline_s,
-                )
-                heapq.heappush(pending, (now, sequence, index))
-                sequence += 1
-            for worker in hung:
-                workers.remove(worker)
-                index, attempt, _ = worker.task
-                report.straggler_terminations += 1
-                observer.record(
-                    "runtime_straggler_terminations_total",
-                    "runtime.straggler_termination",
-                    task=index, attempt=attempt, pid=worker.process.pid,
-                    deadline_s=policy.task_deadline_s,
-                )
-                worker.process.terminate()
-                worker.process.join()
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
-                inflight[index] -= 1
-                if inflight[index] == 0:
-                    mark_degraded(index)
-                remaining = total - len(results) - len(degraded)
-                if remaining > 0 and len(workers) < min(processes, remaining):
-                    if report.worker_respawns < policy.max_worker_respawns:
-                        report.worker_respawns += 1
-                        replacement = spawn()
-                        workers.append(replacement)
-                        observer.record(
-                            "runtime_worker_respawns_total",
-                            "runtime.worker_respawn",
-                            pid=replacement.process.pid,
-                        )
+        for payload in payloads:
+            pool.submit(payload)
+        results: List[Any] = [None] * len(payloads)
+        while pool.outstanding:
+            index, value = pool.next_result()
+            results[index] = value
     finally:
-        _shutdown(workers)
-
-    # Bottom rung of the degradation ladder: run what the pool could not
-    # finish in-process, in task order, fault-free and byte-identical.
-    for index in sorted(degraded):
-        if index in results:
-            continue
-        report.degraded_serial += 1
-        observer.record(
-            "runtime_degraded_serial_total", "runtime.degraded_serial",
-            task=index, failures=failures[index],
-        )
-        results[index] = worker_fn(payloads[index])
-
-    return [results[index] for index in range(total)], report
+        pool.close()
+    return results, pool.report
 
 
 def _shutdown(workers: List[_Worker]) -> None:

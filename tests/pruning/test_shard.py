@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from repro.datasets.registry import generate
 from repro.datasets.schema import Record
-from repro.pruning import parallel as parallel_module
 from repro.pruning.candidate import build_candidate_set
-from repro.pruning.parallel import ParallelFallbackWarning
 from repro.pruning.prefix_join import PREFIX_METRICS, prefix_filtered_candidates
+from repro.runtime import supervisor
+from repro.runtime.supervisor import ParallelFallbackWarning
 from repro.similarity.composite import (
     SET_METRIC_FUNCTIONS,
     cosine_set_similarity_function,
@@ -142,8 +142,7 @@ class TestForkParallelism:
         assert forked == serial
 
     def test_fallback_warns_and_emits_event(self, monkeypatch):
-        monkeypatch.setattr(parallel_module, "fork_available", lambda: False)
-        monkeypatch.setattr(shard, "fork_available", lambda: False)
+        monkeypatch.setattr(supervisor, "fork_available", lambda: False)
         events = []
 
         class FakeObs:

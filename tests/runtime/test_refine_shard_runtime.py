@@ -27,10 +27,9 @@ from repro.datasets.registry import generate
 from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
-from repro.pruning.parallel import ParallelFallbackWarning
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import ProcessFaultPlan
-from repro.runtime.supervisor import SupervisorPolicy
+from repro.runtime.supervisor import ParallelFallbackWarning, SupervisorPolicy
 from repro.similarity.composite import jaccard_similarity_function
 
 pytestmark = pytest.mark.skipif(
@@ -140,9 +139,9 @@ class TestFaultByteIdentity:
 
 class TestForkFallback:
     def test_fallback_warns_when_fork_unavailable(self, monkeypatch):
-        import repro.core.refine_shard as refine_shard
+        import repro.runtime.supervisor as supervisor
 
-        monkeypatch.setattr(refine_shard, "fork_available", lambda: False)
+        monkeypatch.setattr(supervisor, "fork_available", lambda: False)
         serial = _refine_outcome()
         with pytest.warns(ParallelFallbackWarning):
             fallen_back = _refine_outcome(processes=4)

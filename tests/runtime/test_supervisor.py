@@ -8,6 +8,8 @@ call, even when it aborts.
 """
 
 import multiprocessing
+import resource
+import time
 
 import pytest
 
@@ -15,6 +17,7 @@ from repro.obs import ObsContext
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import (
     RuntimeReport,
+    SupervisedPool,
     SupervisorPolicy,
     supervised_map,
 )
@@ -27,6 +30,19 @@ pytestmark = pytest.mark.skipif(
 
 def _square(value):
     return value * value
+
+
+def _sleep(seconds):
+    time.sleep(seconds)
+    return seconds
+
+
+#: Module state a broadcasting pool extends (read by _square_with_state).
+_STATE = {}
+
+
+def _square_with_state(value):
+    return value * value, _STATE.get("offset")
 
 
 PAYLOADS = list(range(12))
@@ -181,6 +197,60 @@ class TestStragglers:
         assert _runtime_counters(obs).get(
             "runtime_straggler_terminations_total", 0) >= 1
         assert _no_new_children(before) == []
+
+
+class TestWaitRule:
+    def test_parent_does_not_spin_while_workers_are_busy(self):
+        # Regression: with ready tasks queued behind busy workers the
+        # event loop used to wait with a zero timeout, burning the
+        # parent's CPU in a busy-spin for the whole map.
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        start = time.monotonic()
+        results, _ = supervised_map(_sleep, [0.1] * 10, processes=2)
+        wall = time.monotonic() - start
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        cpu = ((after.ru_utime - before.ru_utime)
+               + (after.ru_stime - before.ru_stime))
+        assert results == [0.1] * 10
+        assert cpu < 0.25 * wall, (cpu, wall)
+
+
+class TestBroadcast:
+    @staticmethod
+    def _run(processes, fault_plan=None):
+        """Two waves of tasks around a broadcast; results by task index."""
+        pool = SupervisedPool(_square_with_state, processes, state=_STATE,
+                              policy=FAST, fault_plan=fault_plan)
+        try:
+            for value in range(2):
+                pool.submit(value)
+            first = dict(pool.next_result() for _ in range(2))
+            pool.broadcast("offset", 42)
+            for value in range(2, 8):
+                pool.submit(value)
+            second = dict(pool.next_result() for _ in range(6))
+        finally:
+            pool.close()
+            _STATE.clear()
+        return first, second, pool.report
+
+    @pytest.mark.parametrize("kills", ({2}, {2, 3}))
+    def test_respawned_worker_and_retry_see_broadcast(self, kills):
+        # Tasks 2 and 3 go out together right after the broadcast.  With
+        # one kill, task 3 runs on the surviving worker (state message)
+        # while task 2's retry may land on a respawned worker; with two,
+        # both workers die and every later task — retries included — runs
+        # on respawned workers, which inherit the state through fork.
+        plan = ProcessFaultPlan(kill_tasks=frozenset(kills))
+        first, second, report = self._run(2, fault_plan=plan)
+        assert first == {0: (0, None), 1: (1, None)}
+        assert second == {value: (value * value, 42)
+                          for value in range(2, 8)}
+        assert report.worker_crashes == len(kills)
+        if len(kills) == 2:  # the whole pool died: it must have respawned
+            assert report.worker_respawns >= 1
+        assert report.degraded_serial == 0
+        assert (first, second) == self._run(1)[:2]
 
 
 class TestInterruptHygiene:
