@@ -8,7 +8,9 @@ queries the algorithms and metrics need.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple,
+)
 
 
 class Clustering:
@@ -146,6 +148,15 @@ class Clustering:
     def members(self, cluster_id: int) -> Set[int]:
         """A copy of the member set of a cluster."""
         return set(self._members[cluster_id])
+
+    def member_view(self, cluster_id: int) -> AbstractSet[int]:
+        """The live member set of a cluster, without a copy.
+
+        Read-only by contract: mutate the partition only through
+        :meth:`split` / :meth:`merge`.  The view changes with later
+        operations, so callers that mutate while iterating must copy.
+        """
+        return self._members[cluster_id]
 
     def size(self, cluster_id: int) -> int:
         return len(self._members[cluster_id])

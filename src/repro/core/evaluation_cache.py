@@ -4,22 +4,34 @@
 operation's relevant pairs, cost, and benefits from scratch on every call —
 correct, but the refinement loops (Algorithms 4-5) ask for the same values
 thousands of times while only a handful of clusters change per iteration.
-:class:`EvaluationCache` memoizes the full evaluation of each operation and
-invalidates *only* what actually changed, keyed on three signals:
+:class:`EvaluationCache` memoizes each operation's evaluation as an
+*entry*: the relevant pairs (built canonical from sorted member views),
+one confidence slot per pair, and the positions and machine scores of the
+still-unknown candidate pairs.  A build classifies every pair with two
+dict lookups — the oracle's read-only answer map ``A``, then the machine
+scores of ``S`` (absent from both means pruned, ``f_c = 0``).
+
+Three signals invalidate entries:
 
 * **Cluster versions** — an entry snapshots its touched clusters'
-  :class:`~repro.core.refine.ClusterVersionTracker` versions; any applied
-  operation bumps only the changed clusters, so only entries touching them
-  rebuild.
-* **Oracle answer epoch** — the oracle keeps an append-only log of pairs
-  transitioning unknown -> known; the cache consumes the log through a
-  cursor and marks dirty exactly the entries whose unknown-pair sets the
-  fresh answers intersect (a reverse pair -> operations index).
+  :class:`~repro.core.refine.ClusterVersionTracker` versions; an applied
+  operation bumps only the clusters it changed, and an entry whose
+  snapshot is stale is rebuilt on its next lookup.
+* **Oracle answer epoch** — every entry records the ``answer_epoch`` it
+  was built at.  The cache reads the oracle's append-only answer log
+  through a cursor and maps each fresh candidate answer ``(a, b)`` to the
+  only operations that can hold it as an unknown pair: ``Split(a, C)`` and
+  ``Split(b, C)`` when both records sit in cluster ``C``, otherwise
+  ``Merge(C_a, C_b)``.  Such an operation is marked dirty iff its entry
+  exists, is current, and was built before the answer arrived — exactly
+  the current entries holding the pair as unknown.  Entries whose
+  clusters changed are left alone: their next lookup rebuilds them.
 * **Estimator epoch** — new histogram samples bump the estimator's epoch;
   the cache re-queries its per-score estimate memo and marks dirty only
   entries holding unknown pairs whose machine-score estimate *actually
-  changed* (a reverse score -> operations index), so a rebuild that lands
-  on identical bucket means invalidates nothing.
+  changed* (a score -> operations index, one registration per distinct
+  score per entry), so a rebuild that lands on identical bucket means
+  invalidates nothing.
 
 Everything the cache serves is byte-identical to a fresh
 ``OperationEvaluator`` derivation: per-pair confidences are stored in
@@ -35,15 +47,15 @@ clustering mutations flow through the shared version tracker.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.core.clustering import Clustering
 from repro.core.estimator import HistogramEstimator
 from repro.core.objective import merge_benefit, split_benefit
-from repro.core.operations import Operation, Split
+from repro.core.operations import Merge, Operation, Split
 from repro.crowd.oracle import CrowdOracle
-from repro.datasets.schema import canonical_pair
 from repro.pruning.candidate import CandidateSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (refine imports us)
@@ -90,13 +102,16 @@ class _Entry:
     """One operation's memoized evaluation (see module docstring)."""
 
     __slots__ = (
-        "snapshot", "is_split", "pairs", "confidences", "unknown_indices",
-        "unknown_scores", "registered_pairs", "registered_scores",
+        "snapshot", "epoch", "is_split", "pairs", "confidences",
+        "unknown_indices", "unknown_scores", "registered_scores",
         "estimated", "exact", "answer_dirty", "estimate_dirty",
     )
 
     def __init__(self) -> None:
         self.snapshot: Tuple[Tuple[int, int], ...] = ()
+        # Oracle answer epoch at build time: answers logged at positions
+        # >= epoch arrived after the build and may dirty the entry.
+        self.epoch = 0
         self.is_split = False
         self.pairs: List[Pair] = []
         # One slot per relevant pair, in order: the known f_c (answered or
@@ -104,10 +119,9 @@ class _Entry:
         self.confidences: List[Optional[float]] = []
         self.unknown_indices: List[int] = []
         self.unknown_scores: List[float] = []
-        # Index registrations at build time (kept until rebuild so stale
-        # registrations can be dropped; a spurious dirty mark only costs a
-        # refresh, never correctness).
-        self.registered_pairs: Tuple[Pair, ...] = ()
+        # Distinct scores registered in the score index at build time
+        # (kept until rebuild so stale registrations can be dropped; a
+        # spurious dirty mark only costs a refresh, never correctness).
         self.registered_scores: Tuple[float, ...] = ()
         self.estimated: float = 0.0
         self.exact: Optional[float] = None
@@ -133,20 +147,23 @@ class EvaluationCache:
         tracker: "ClusterVersionTracker",
     ):
         self._clustering = clustering
-        self._candidates = candidates
+        self._scores = candidates.machine_scores
         self._oracle = oracle
+        self._known = oracle.known_view
         self._estimator = estimator
         self._tracker = tracker
         self._entries: Dict[Operation, _Entry] = {}
-        # Reverse indexes: which entries a fresh answer / changed estimate
-        # can affect.
-        self._pair_index: Dict[Pair, Set[Operation]] = {}
+        # Reverse index: which entries a changed estimate can affect.
         self._score_index: Dict[float, Set[Operation]] = {}
         # Per-machine-score estimate memo, refreshed (and diffed) when the
         # estimator epoch moves.
         self._estimates: Dict[float, float] = {}
         self._answer_cursor = oracle.answer_epoch
         self._estimator_epoch = estimator.epoch
+        # Whether A holds a pruned pair (its f_c is then the crowd's, not
+        # 0) — the one case OperationCache's merge bound does not cover.
+        self._pruned_answered = any(pair not in self._scores
+                                    for pair in self._known)
         # Operations whose cached values changed since the last drain
         # (answer/estimate deltas only; cluster staleness is reported by
         # the tracker, not here).
@@ -188,12 +205,22 @@ class EvaluationCache:
             return None, cost
         return entry.estimated / cost, cost
 
+    @property
+    def pruned_pairs_unanswered(self) -> bool:
+        """True while no pruned pair is in ``A``, so every pruned ``f_c``
+        is 0 — the premise of
+        :meth:`~repro.core.refine.OperationCache.unordered_operations`'
+        merge bound."""
+        self._sync_answers()
+        return not self._pruned_answered
+
     def drain_dirty_operations(self) -> Set[Operation]:
         """Operations whose cached values changed since the last drain due
         to fresh answers or changed estimates.  Cluster-version staleness is
         *not* reported here — callers learn about it from the operations
         they applied through the shared tracker."""
-        self._sync()
+        self._sync_answers()
+        self._sync_estimates()
         dirty = self._dirty_ops
         self._dirty_ops = set()
         return dirty
@@ -211,27 +238,28 @@ class EvaluationCache:
         estimate-stale entry is still a hit — the free path re-scans every
         operation per pass, and would otherwise pay a refresh per
         histogram change for values the estimator can't move.
+
+        A build reads the oracle's current answers and stamps their epoch,
+        so it needs no answer sync first; the estimate memo it reads must
+        be current, though.
         """
-        self._sync()
         self.stats.lookups += 1
         entry = self._entries.get(operation)
         if entry is None or not self._tracker.is_current(entry.snapshot):
             self.stats.evaluations += 1
-            return self._build(operation)
+            if self._estimator.epoch != self._estimator_epoch:
+                self._sync_estimates()
+            return self._build(operation, entry)
+        if self._oracle.answer_epoch != self._answer_cursor:
+            self._sync_answers()
+        if self._estimator.epoch != self._estimator_epoch:
+            self._sync_estimates()
         if entry.answer_dirty or (entry.estimate_dirty and not exact_only):
             self.stats.refreshes += 1
             self._refresh(entry)
             return entry
         self.stats.hits += 1
         return entry
-
-    def _known_confidence(self, pair: Pair) -> Optional[float]:
-        answered = self._oracle.known_confidence(*pair)
-        if answered is not None:
-            return answered
-        if pair not in self._candidates:
-            return 0.0
-        return None
 
     def _estimate(self, machine_score: float) -> float:
         value = self._estimates.get(machine_score)
@@ -240,39 +268,47 @@ class EvaluationCache:
             self._estimates[machine_score] = value
         return value
 
-    def _build(self, operation: Operation) -> _Entry:
-        old = self._entries.get(operation)
+    def _build(self, operation: Operation, old: Optional[_Entry]) -> _Entry:
         if old is not None:
             self._deregister(operation, old)
 
         entry = _Entry()
         entry.snapshot = self._tracker.snapshot(operation.touched_clusters)
-        entry.is_split = isinstance(operation, Split)
+        entry.epoch = self._oracle.answer_epoch
+        member_view = self._clustering.member_view
         if isinstance(operation, Split):
-            others = self._clustering.members(operation.cluster_id)
-            others.discard(operation.record_id)
-            pairs = [canonical_pair(operation.record_id, other)
-                     for other in sorted(others)]
+            entry.is_split = True
+            record = operation.record_id
+            members = sorted(member_view(operation.cluster_id))
+            cut = bisect_left(members, record)
+            pairs = ([(other, record) for other in members[:cut]]
+                     + [(record, other) for other in members[cut + 1:]])
         else:
-            members_a = sorted(self._clustering.members(operation.cluster_a))
-            members_b = sorted(self._clustering.members(operation.cluster_b))
-            pairs = [canonical_pair(a, b) for a in members_a for b in members_b]
+            members_b = sorted(member_view(operation.cluster_b))
+            pairs = []
+            for a in sorted(member_view(operation.cluster_a)):
+                cut = bisect_left(members_b, a)
+                pairs += [(b, a) for b in members_b[:cut]]
+                pairs += [(a, b) for b in members_b[cut:]]
         entry.pairs = pairs
 
-        scores = self._candidates.machine_scores
+        known = self._known.get
+        scores = self._scores.get
+        confidences = entry.confidences
+        unknown_indices = entry.unknown_indices
+        unknown_scores = entry.unknown_scores
         for index, pair in enumerate(pairs):
-            confidence = self._known_confidence(pair)
-            entry.confidences.append(confidence)
+            confidence = known(pair)
             if confidence is None:
-                entry.unknown_indices.append(index)
-                entry.unknown_scores.append(scores[pair])
+                score = scores(pair)
+                if score is None:
+                    confidence = 0.0  # pruned: f_c = 0 by definition
+                else:
+                    unknown_indices.append(index)
+                    unknown_scores.append(score)
+            confidences.append(confidence)
 
-        entry.registered_pairs = tuple(
-            entry.pairs[index] for index in entry.unknown_indices
-        )
-        entry.registered_scores = tuple(entry.unknown_scores)
-        for pair in entry.registered_pairs:
-            self._pair_index.setdefault(pair, set()).add(operation)
+        entry.registered_scores = tuple(set(unknown_scores))
         for score in entry.registered_scores:
             self._estimate(score)  # memo must cover every registered score
             self._score_index.setdefault(score, set()).add(operation)
@@ -285,10 +321,11 @@ class EvaluationCache:
         """Re-resolve answers / re-sum benefits without re-deriving the
         pair structure (cluster snapshot is still current)."""
         if entry.answer_dirty:
+            known = self._known.get
             still_indices: List[int] = []
             still_scores: List[float] = []
             for position, index in enumerate(entry.unknown_indices):
-                confidence = self._oracle.known_confidence(*entry.pairs[index])
+                confidence = known(entry.pairs[index])
                 if confidence is None:
                     still_indices.append(index)
                     still_scores.append(entry.unknown_scores[position])
@@ -297,33 +334,30 @@ class EvaluationCache:
             entry.unknown_indices = still_indices
             entry.unknown_scores = still_scores
             entry.answer_dirty = False
-        # The estimate memo is always current after _sync, so recomputing
-        # clears estimate staleness no matter which flag triggered us.
+        # The estimate memo is always current after _sync_estimates, so
+        # recomputing clears estimate staleness no matter which flag
+        # triggered us.
         entry.estimate_dirty = False
         self._recompute_benefits(entry)
 
     def _recompute_benefits(self, entry: _Entry) -> None:
         # Ordered sums over the relevant pairs — the exact arithmetic of
         # OperationEvaluator.{exact,estimated}_benefit.
+        benefit = split_benefit if entry.is_split else merge_benefit
         if entry.unknown_indices:
+            # The memo covers every registered score (see _build).
+            estimates = self._estimates
             values: List[float] = list(entry.confidences)  # type: ignore[arg-type]
-            for position, index in enumerate(entry.unknown_indices):
-                values[index] = self._estimate(entry.unknown_scores[position])
+            for index, score in zip(entry.unknown_indices,
+                                    entry.unknown_scores):
+                values[index] = estimates[score]
             entry.exact = None
+            entry.estimated = benefit(values)
         else:
-            values = entry.confidences  # type: ignore[assignment]
-            entry.exact = (split_benefit(values) if entry.is_split
-                           else merge_benefit(values))
-        entry.estimated = (split_benefit(values) if entry.is_split
-                           else merge_benefit(values))
+            entry.exact = entry.estimated = benefit(
+                entry.confidences)  # type: ignore[arg-type]
 
     def _deregister(self, operation: Operation, entry: _Entry) -> None:
-        for pair in entry.registered_pairs:
-            ops = self._pair_index.get(pair)
-            if ops is not None:
-                ops.discard(operation)
-                if not ops:
-                    del self._pair_index[pair]
         for score in entry.registered_scores:
             ops = self._score_index.get(score)
             if ops is not None:
@@ -336,36 +370,55 @@ class EvaluationCache:
     # Delta ingestion
     # ------------------------------------------------------------------
 
-    def _sync(self) -> None:
+    def _sync_answers(self) -> None:
+        cursor = self._answer_cursor
         oracle_epoch = self._oracle.answer_epoch
-        if oracle_epoch != self._answer_cursor:
-            fresh = self._oracle.answers_since(self._answer_cursor)
-            self._answer_cursor = oracle_epoch
-            for pair in fresh:
-                ops = self._pair_index.pop(pair, None)
-                if not ops:
-                    continue
-                for operation in ops:
-                    entry = self._entries.get(operation)
-                    if entry is not None:
-                        entry.answer_dirty = True
-                self._dirty_ops.update(ops)
+        if oracle_epoch == cursor:
+            return
+        fresh = self._oracle.answers_since(cursor)
+        self._answer_cursor = oracle_epoch
+        cluster_of = self._clustering.cluster_of
+        is_current = self._tracker.is_current
+        entries = self._entries
+        for position, pair in enumerate(fresh, start=cursor):
+            if pair not in self._scores:
+                # Never unknown in any entry; it only voids the merge bound.
+                self._pruned_answered = True
+                continue
+            a, b = pair
+            cluster_a = cluster_of(a)
+            cluster_b = cluster_of(b)
+            if cluster_a == cluster_b:
+                holders: Tuple[Operation, ...] = (Split(a, cluster_a),
+                                                  Split(b, cluster_a))
+            elif cluster_a < cluster_b:
+                holders = (Merge(cluster_a, cluster_b),)
+            else:
+                holders = (Merge(cluster_b, cluster_a),)
+            for operation in holders:
+                entry = entries.get(operation)
+                if (entry is not None and entry.epoch <= position
+                        and is_current(entry.snapshot)):
+                    entry.answer_dirty = True
+                    self._dirty_ops.add(operation)
 
+    def _sync_estimates(self) -> None:
         estimator_epoch = self._estimator.epoch
-        if estimator_epoch != self._estimator_epoch:
-            self._estimator_epoch = estimator_epoch
-            changed: List[float] = []
-            for score, old_value in self._estimates.items():
-                new_value = self._estimator.estimate(score)
-                if new_value != old_value:
-                    self._estimates[score] = new_value
-                    changed.append(score)
-            for score in changed:
-                ops = self._score_index.get(score)
-                if not ops:
-                    continue
-                for operation in ops:
-                    entry = self._entries.get(operation)
-                    if entry is not None:
-                        entry.estimate_dirty = True
-                self._dirty_ops.update(ops)
+        if estimator_epoch == self._estimator_epoch:
+            return
+        self._estimator_epoch = estimator_epoch
+        changed: List[float] = []
+        for score, old_value in self._estimates.items():
+            new_value = self._estimator.estimate(score)
+            if new_value != old_value:
+                self._estimates[score] = new_value
+                changed.append(score)
+        for score in changed:
+            ops = self._score_index.get(score)
+            if not ops:
+                continue
+            for operation in ops:
+                entry = self._entries.get(operation)
+                if entry is not None:
+                    entry.estimate_dirty = True
+            self._dirty_ops.update(ops)

@@ -167,14 +167,18 @@ def _pack_independent_operations_fast(
     evaluator walks, and the full ``sort`` is replaced by a heapified
     candidate list popped in exactly the reference's sorted order
     ``(-key, repr(op))`` — the budget usually exhausts long before the
-    tail, so most of the ordering work is never paid.
+    tail, so most of the ordering work is never paid.  Those keys are
+    unique, so the scan reads the operations unordered, and it skips the
+    merges :func:`~repro.core.refine.merge_is_hopeless` proves negative
+    (their ratio and benefit keys are below 0, so they are never packed).
     """
     if ranking not in ("ratio", "benefit"):
         raise ValueError(f"ranking must be 'ratio' or 'benefit', got {ranking!r}")
     by_ratio = ranking == "ratio"
     scored: List[Tuple[float, str, int, Operation]] = []
     with _stage(timings, "refine.evaluate"):
-        for operation in cache.operations():
+        bounded = evaluations.pruned_pairs_unanswered
+        for operation in cache.unordered_operations(bounded):
             if by_ratio:
                 ratio, cost = evaluations.ratio_and_cost(operation)
                 if cost <= 0:

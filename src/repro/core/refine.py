@@ -95,10 +95,11 @@ class ClusterVersionTracker:
         )
 
     def is_current(self, snapshot: Tuple[Tuple[int, int], ...]) -> bool:
-        return all(
-            self._versions.get(cluster_id) == version
-            for cluster_id, version in snapshot
-        )
+        versions = self._versions
+        for cluster_id, version in snapshot:
+            if versions.get(cluster_id) != version:
+                return False
+        return True
 
     def apply(self, clustering: Clustering, operation: Operation) -> Set[int]:
         """Apply ``operation`` and update versions.
@@ -120,6 +121,13 @@ class ClusterVersionTracker:
         return changed | created
 
 
+def merge_is_hopeless(crossing: int, size_a: int, size_b: int) -> bool:
+    """True when :class:`OperationCache`'s count bound proves a merge's
+    exact and estimated benefit ``<= -1``: ``2 * crossing - size_a *
+    size_b <= -1`` (proof in the class docstring)."""
+    return 2 * crossing - size_a * size_b <= -1
+
+
 class OperationCache:
     """Version-invalidated cache of :func:`enumerate_operations`.
 
@@ -136,6 +144,16 @@ class OperationCache:
     which is precisely their first-occurrence order in the sorted pair scan.
     Preserving order matters because the estimated path breaks benefit-ratio
     ties by enumeration order.
+
+    Each merge entry is also judged by its count of crossing candidate
+    edges, which bounds its benefit (see :func:`merge_is_hopeless`): with
+    ``x`` crossing edges between clusters ``A`` and ``B``, every candidate
+    term of Eq. 6 is at most 1 and every pruned term is exactly -1, so
+    ``b(o), b*(o) <= 2x - |A||B|``.  When that is ``<= -1`` the merge can
+    be neither free-and-positive nor positive-ratio, and
+    :meth:`unordered_operations` may leave it out.  The count and both
+    sizes are fixed by the two cluster versions the entry is stamped with,
+    so the verdict is taken once, when the entry is rebuilt.
     """
 
     def __init__(self, clustering: Clustering, candidates: CandidateSet,
@@ -147,9 +165,11 @@ class OperationCache:
         self.neighbors: Dict[int, List[int]] = candidate_adjacency(candidates)
         # cluster id -> (version, splits of that cluster, sorted by record)
         self._split_entries: Dict[int, Tuple[int, List[Operation]]] = {}
-        # (cluster_a, cluster_b) -> (version_a, version_b, min crossing pair)
-        self._merge_entries: Dict[Tuple[int, int],
-                                  Tuple[int, int, Tuple[int, int]]] = {}
+        # (cluster_a, cluster_b) -> (version_a, version_b, min crossing
+        # pair, the Merge, whether merge_is_hopeless)
+        self._merge_entries: Dict[
+            Tuple[int, int], Tuple[int, int, Tuple[int, int], Merge, bool]
+        ] = {}
 
     @property
     def tracker(self) -> ClusterVersionTracker:
@@ -162,6 +182,30 @@ class OperationCache:
     def operations(self) -> List[Operation]:
         """The current operation list, identical to
         ``enumerate_operations(clustering, candidates)``."""
+        cluster_ids = self._refresh()
+        operations: List[Operation] = []
+        for cluster_id in cluster_ids:
+            operations.extend(self._split_entries[cluster_id][1])
+        for entry in sorted(self._merge_entries.values(),
+                            key=lambda entry: entry[2]):
+            operations.append(entry[3])
+        return operations
+
+    def unordered_operations(self, bounded: bool) -> List[Operation]:
+        """The operations of :meth:`operations` in no particular order —
+        for callers whose own keys fix the processing order.  With
+        ``bounded``, merges :func:`merge_is_hopeless` rejects are left out
+        (sound only while every pruned pair's ``f_c`` is 0)."""
+        self._refresh()
+        operations: List[Operation] = []
+        for _, splits in self._split_entries.values():
+            operations.extend(splits)
+        operations.extend(entry[3] for entry in self._merge_entries.values()
+                          if not (bounded and entry[4]))
+        return operations
+
+    def _refresh(self) -> List[int]:
+        """Drop and rebuild stale entries; returns the sorted live ids."""
         clustering = self._clustering
         cluster_ids = clustering.cluster_ids  # sorted
         current: Dict[int, int] = {}
@@ -170,7 +214,7 @@ class OperationCache:
             assert version is not None, "live cluster missing from tracker"
             current[cluster_id] = version
 
-        for key in [k for k, (version_a, version_b, _)
+        for key in [k for k, (version_a, version_b, _, _, _)
                     in self._merge_entries.items()
                     if current.get(k[0]) != version_a
                     or current.get(k[1]) != version_b]:
@@ -185,18 +229,11 @@ class OperationCache:
         ]
         for cluster_id in stale:
             self._rebuild(cluster_id, current)
-
-        operations: List[Operation] = []
-        for cluster_id in cluster_ids:
-            operations.extend(self._split_entries[cluster_id][1])
-        for key, _ in sorted(self._merge_entries.items(),
-                             key=lambda item: item[1][2]):
-            operations.append(Merge(key[0], key[1]))
-        return operations
+        return cluster_ids
 
     def _rebuild(self, cluster_id: int, current: Mapping[int, int]) -> None:
         clustering = self._clustering
-        members = clustering.members(cluster_id)
+        members = clustering.member_view(cluster_id)
         splits: List[Operation] = (
             [Split(record_id, cluster_id) for record_id in sorted(members)]
             if len(members) >= 2 else []
@@ -204,9 +241,10 @@ class OperationCache:
         self._split_entries[cluster_id] = (current[cluster_id], splits)
 
         # Every candidate edge crossing this cluster has exactly one endpoint
-        # inside it, so scanning members x neighbors sees them all — the
-        # per-merge minimum crossing pair is exact.
+        # inside it, so scanning members x neighbors sees each of them once —
+        # the per-merge minimum crossing pair and edge count are exact.
         crossing: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        counts: Dict[Tuple[int, int], int] = {}
         for record_id in members:
             for neighbor in self.neighbors.get(record_id, ()):
                 other = clustering.cluster_of(neighbor)
@@ -217,10 +255,19 @@ class OperationCache:
                 pair = ((record_id, neighbor) if record_id < neighbor
                         else (neighbor, record_id))
                 best = crossing.get(key)
-                if best is None or pair < best:
+                if best is None:
                     crossing[key] = pair
+                    counts[key] = 1
+                else:
+                    counts[key] += 1
+                    if pair < best:
+                        crossing[key] = pair
+        size = clustering.size
         for key, pair in crossing.items():
-            self._merge_entries[key] = (current[key[0]], current[key[1]], pair)
+            hopeless = merge_is_hopeless(counts[key], size(key[0]),
+                                         size(key[1]))
+            self._merge_entries[key] = (current[key[0]], current[key[1]],
+                                        pair, Merge(key[0], key[1]), hopeless)
 
 
 def candidate_adjacency(candidates: CandidateSet) -> Dict[int, List[int]]:
@@ -288,24 +335,31 @@ def _operations_touching(
     clustering: Clustering,
     neighbors: Mapping[int, List[int]],
     cluster_ids: Iterable[int],
-) -> List[Operation]:
-    """All candidate operations touching the given *live* clusters."""
-    found: List[Operation] = []
+) -> List[Tuple[Operation, int]]:
+    """All candidate operations touching the given *live* clusters, each
+    with its count of crossing candidate edges (0 for splits)."""
+    found: List[Tuple[Operation, int]] = []
     seen_merges: Set[Tuple[int, int]] = set()
     for cluster_id in cluster_ids:
-        members = clustering.members(cluster_id)
+        members = clustering.member_view(cluster_id)
         if len(members) >= 2:
             for record_id in members:
-                found.append(Split(record_id, cluster_id))
+                found.append((Split(record_id, cluster_id), 0))
+        # One cluster's scan sees every edge crossing it exactly once, so
+        # its counts are complete for each merge first met here.
+        counts: Dict[Tuple[int, int], int] = {}
         for record_id in members:
             for neighbor in neighbors.get(record_id, ()):
                 other = clustering.cluster_of(neighbor)
                 if other == cluster_id:
                     continue
-                key = (min(cluster_id, other), max(cluster_id, other))
-                if key not in seen_merges:
-                    seen_merges.add(key)
-                    found.append(Merge(key[0], key[1]))
+                key = ((cluster_id, other) if cluster_id < other
+                       else (other, cluster_id))
+                counts[key] = counts.get(key, 0) + 1
+        for key, count in counts.items():
+            if key not in seen_merges:
+                seen_merges.add(key)
+                found.append((Merge(key[0], key[1]), count))
     return found
 
 
@@ -344,8 +398,9 @@ def apply_free_operations(
             counter; values are state-dependent, never caller-dependent).
         evaluations: Optional :class:`EvaluationCache`; when given, exact
             benefits are served incrementally from it instead of being
-            re-derived per push (fast-engine path).  Must share the same
-            tracker as ``cache``.
+            re-derived per push (fast-engine path), and merges
+            :func:`merge_is_hopeless` rejects are never pushed.  Must share
+            the same tracker as ``cache``.
         invalidated: Optional out-parameter; accumulates the cluster ids
             each applied operation touched, changed, or created — exactly
             the set a caller-side ranking structure must re-examine
@@ -355,18 +410,24 @@ def apply_free_operations(
             state) — lets the sharded engine journal applied operations
             as id-independent record references for cross-shard replay.
     """
+    # The merge bound only runs beside the EvaluationCache (fast engine),
+    # which also knows whether its premise — pruned f_c = 0 — holds.
+    bounded = False
     if evaluations is not None:
         exact_benefit = evaluations.exact_benefit
+        bounded = evaluations.pruned_pairs_unanswered
     else:
         if evaluator is None:
             evaluator = OperationEvaluator(clustering, candidates, oracle,
                                            estimator)
         exact_benefit = evaluator.exact_benefit
 
+    # Heap keys are unique per operation, so seeding order cannot change
+    # the pop order.
     if cache is not None:
         neighbors = cache.neighbors
         tracker = cache.tracker
-        initial_operations = cache.operations()
+        initial_operations = cache.unordered_operations(bounded)
     else:
         neighbors = candidate_adjacency(candidates)
         tracker = ClusterVersionTracker(clustering)
@@ -385,6 +446,7 @@ def apply_free_operations(
     for operation in initial_operations:
         push_if_positive(operation)
 
+    size = clustering.size
     applied = 0
     while heap:
         negative_benefit, _, operation, snap = heapq.heappop(heap)
@@ -397,7 +459,12 @@ def apply_free_operations(
         applied += 1
         if invalidated is not None:
             invalidated |= set(operation.touched_clusters) | changed
-        for affected in _operations_touching(clustering, neighbors, changed):
+        for affected, crossing in _operations_touching(clustering, neighbors,
+                                                       changed):
+            if (bounded and isinstance(affected, Merge)
+                    and merge_is_hopeless(crossing, size(affected.cluster_a),
+                                          size(affected.cluster_b))):
+                continue
             push_if_positive(affected)
     return applied
 
@@ -547,8 +614,8 @@ class _LazyRatioSelector:
         tracker = self._cache.tracker
         live = [cluster_id for cluster_id in pending
                 if tracker.version(cluster_id) is not None]
-        fresh = set(_operations_touching(self._clustering,
-                                         self._cache.neighbors, live))
+        fresh = {operation for operation, _ in _operations_touching(
+            self._clustering, self._cache.neighbors, live)}
         for operation in stale - fresh:
             self._untrack(operation)
         for operation in fresh:
@@ -607,7 +674,7 @@ class _LazyRatioSelector:
         if clustering.size(other) < clustering.size(scan):
             scan, other = other, scan
         best: Optional[Tuple[int, int]] = None
-        for record_id in clustering.members(scan):
+        for record_id in clustering.member_view(scan):
             for neighbor in neighbors.get(record_id, ()):
                 if clustering.cluster_of(neighbor) != other:
                     continue

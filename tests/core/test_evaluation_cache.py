@@ -220,3 +220,119 @@ def test_stats_accounting():
     payload = stats.as_dict()
     assert payload["hit_rate"] == 0.5
     assert payload["lookups"] == 2
+
+
+# ---------------------------------------------------------------------------
+# Answer invalidation: each entry records the answer epoch it was built at,
+# and a fresh answer (a, b) can only dirty Split(a, C) / Split(b, C) when a
+# and b share cluster C, else Merge(C_a, C_b).
+# ---------------------------------------------------------------------------
+
+
+def test_entry_built_after_an_answer_is_neither_dirty_nor_refreshed():
+    clustering, candidates, oracle, estimator, tracker, cache, ids = small_state()
+    c0, c1, _ = ids
+    merge = Merge(c0, c1)
+    # The answer lands before the entry exists and before any sync.
+    oracle.ask_batch([(1, 2)])
+    assert cache.cost(merge) == 0  # the build already sees the answer
+    assert cache.stats.evaluations == 1
+
+    assert cache.drain_dirty_operations() == set()
+    refreshes_before = cache.stats.refreshes
+    hits_before = cache.stats.hits
+    assert cache.exact_benefit(merge) is not None
+    assert cache.stats.refreshes == refreshes_before
+    assert cache.stats.hits == hits_before + 1
+    evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
+    assert cache.exact_benefit(merge) == evaluator.exact_benefit(merge)
+
+
+def test_same_cluster_answer_dirties_exactly_the_two_splits():
+    clustering = Clustering()
+    big = clustering.add_cluster([0, 1, 2])
+    lone = clustering.add_cluster([3])
+    candidates = make_candidates(
+        {(0, 1): 0.7, (0, 2): 0.6, (1, 2): 0.5, (1, 3): 0.4}
+    )
+    oracle = CrowdOracle(ScriptedAnswers(
+        {(0, 1): 0.0, (0, 2): 1.0, (1, 2): 1.0, (1, 3): 0.0}, num_workers=3
+    ))
+    oracle.ask_batch([(0, 2)])
+    estimator = build_estimator(candidates, oracle)
+    tracker = ClusterVersionTracker(clustering)
+    cache = EvaluationCache(clustering, candidates, oracle, estimator,
+                            tracker)
+    operations = enumerate_operations(clustering, candidates)
+    assert Merge(big, lone) in operations
+    for operation in operations:
+        cache.cost(operation)
+    assert cache.drain_dirty_operations() == set()
+
+    oracle.ask_batch([(0, 1)])
+    assert cache.drain_dirty_operations() == {Split(0, big), Split(1, big)}
+    evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
+    for operation in operations:
+        assert cache.cost(operation) == evaluator.cost(operation)
+
+
+def _current_unknowns(cache, tracker):
+    """Brute force: each current entry's unknown pairs, read off the
+    entries themselves."""
+    return {
+        operation: {entry.pairs[index] for index in entry.unknown_indices}
+        for operation, entry in cache._entries.items()
+        if tracker.is_current(entry.snapshot)
+    }
+
+
+def _check_dirty_sets(seed):
+    """Drive one random interleaving; returns how many dirty operations
+    the brute force expected in total."""
+    rng = random_module.Random(seed * 7919 + 11)
+    clustering, candidates, oracle, estimator = random_cache_state(seed)
+    tracker = ClusterVersionTracker(clustering)
+    cache = EvaluationCache(clustering, candidates, oracle, estimator,
+                            tracker)
+    checked = 0
+    for _ in range(12):
+        # Look up a random share of the live operations: builds, hits and
+        # refreshes of entries dirtied in earlier steps.
+        operations = enumerate_operations(clustering, candidates)
+        for operation in operations:
+            if rng.random() < 0.6:
+                cache.cost(operation)
+        cache.drain_dirty_operations()
+        held = _current_unknowns(cache, tracker)
+
+        # Interleave fresh answers with applied operations.  The estimator
+        # stays put, so every dirty mark must come from an answer.
+        cursor = oracle.answer_epoch
+        for _ in range(rng.randint(1, 4)):
+            unknown = [pair for pair in candidates.pairs
+                       if not oracle.knows(*pair)]
+            operations = enumerate_operations(clustering, candidates)
+            if rng.random() < 0.6 and unknown:
+                oracle.ask_batch(rng.sample(unknown,
+                                            min(len(unknown),
+                                                rng.randint(1, 3))))
+            elif operations:
+                tracker.apply(clustering, rng.choice(operations))
+        fresh = set(oracle.answers_since(cursor))
+
+        expected = {
+            operation for operation, unknown in held.items()
+            if unknown & fresh
+            and tracker.is_current(cache._entries[operation].snapshot)
+        }
+        assert cache.drain_dirty_operations() == expected
+        checked += len(expected)
+        evaluator = OperationEvaluator(clustering, candidates, oracle,
+                                       estimator)
+        assert_matches_evaluator(cache, evaluator, clustering, candidates)
+    return checked
+
+
+def test_dirty_set_matches_brute_force_across_interleavings():
+    checked = sum(_check_dirty_sets(seed) for seed in range(12))
+    assert checked > 0  # the comparison is not vacuous
