@@ -10,16 +10,7 @@ Standalone (no pytest)::
 
 Environment knobs:
     REPRO_BENCH_SCALE          dataset scale (default 1.0)
-    REPRO_BENCH_ENGINE         pruning engine (default auto)
-    REPRO_BENCH_PARALLEL       reference-scoring worker processes (default 0)
-    REPRO_BENCH_REFINE_ENGINE  refinement engine for the ``acd`` stage
-                               (default fast; the ``acd_reference`` stage
-                               always runs the reference engine for the
-                               speedup comparison)
-    REPRO_BENCH_PIVOT_ENGINE   cluster-generation engine for the ``acd``
-                               stage (default fast; the
-                               ``acd_pivot_reference`` stage always runs
-                               the reference engine for the comparison)
+    REPRO_BENCH_PARALLEL       pruning worker processes (default 0)
     REPRO_BENCH_STAGES         comma list of stage groups to run:
                                ``classic`` (the per-dataset stages above),
                                ``pipelined`` (the makespan comparison
@@ -70,10 +61,7 @@ from repro.perf.timing import (  # noqa: E402
 )
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-ENGINE = os.environ.get("REPRO_BENCH_ENGINE", "auto")
 PARALLEL = int(os.environ.get("REPRO_BENCH_PARALLEL", "0"))
-REFINE_ENGINE = os.environ.get("REPRO_BENCH_REFINE_ENGINE", "fast")
-PIVOT_ENGINE = os.environ.get("REPRO_BENCH_PIVOT_ENGINE", "fast")
 SEED = 1
 SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
@@ -242,52 +230,29 @@ def main() -> int:
     runs = {}
     plain_total = 0.0
     traced_total = 0.0
-    reference_total = 0.0
-    pivot_reference_total = 0.0
     for dataset_name in (DATASETS if "classic" in STAGES else ()):
         timings = StageTimings()
         with timings.stage("pruning"):
             instance = prepare_instance(
                 dataset_name, SETTING, scale=SCALE, seed=SEED,
-                engine=ENGINE, parallel=PARALLEL,
+                parallel=PARALLEL,
             )
         # Untimed warm-up: the first run populates the lazy answer file,
         # which would otherwise be billed to whichever stage runs first.
-        run_method(ACD_METHOD, instance, seed=SEED,
-                   refine_engine=REFINE_ENGINE, pivot_engine=PIVOT_ENGINE)
+        run_method(ACD_METHOD, instance, seed=SEED)
         with timings.stage("acd"):
-            result = run_method(ACD_METHOD, instance, seed=SEED,
-                                refine_engine=REFINE_ENGINE,
-                                pivot_engine=PIVOT_ENGINE)
-        # The same pipeline under the full-re-evaluation refinement engine:
-        # the delta is the incremental engine's end-to-end win.
-        with timings.stage("acd_reference"):
-            reference = run_method(ACD_METHOD, instance, seed=SEED,
-                                   refine_engine="reference",
-                                   pivot_engine=PIVOT_ENGINE)
-        assert reference.pairs_issued == result.pairs_issued, \
-            "refinement engines must agree"
-        # And under the per-round re-derivation pivot engine: the delta is
-        # the incremental pivot order's end-to-end win.
-        with timings.stage("acd_pivot_reference"):
-            pivot_reference = run_method(ACD_METHOD, instance, seed=SEED,
-                                         refine_engine=REFINE_ENGINE,
-                                         pivot_engine="reference")
-        assert pivot_reference.pairs_issued == result.pairs_issued, \
-            "pivot engines must agree"
+            result = run_method(ACD_METHOD, instance, seed=SEED)
         # Same run again under full observability (spans + metrics + JSONL
         # stream to disk) — the delta is the tracing overhead.
         with tempfile.TemporaryDirectory() as tmpdir:
             with timings.stage("acd_traced"):
                 with ObsContext.to_path(Path(tmpdir) / "bench.trace.jsonl") as obs:
                     traced = run_method(ACD_METHOD, instance, seed=SEED,
-                                        obs=obs, refine_engine=REFINE_ENGINE)
+                                        obs=obs)
         assert traced.pairs_issued == result.pairs_issued, \
             "tracing must not perturb the run"
         plain_total += timings.seconds("acd")
         traced_total += timings.seconds("acd_traced")
-        reference_total += timings.seconds("acd_reference")
-        pivot_reference_total += timings.seconds("acd_pivot_reference")
         timings.record_throughput("pruning_records_per_second",
                                   len(instance.record_ids), stage="pruning")
         timings.record_peak_rss()
@@ -301,8 +266,6 @@ def main() -> int:
         print(
             f"{dataset_name}: pruning {timings.seconds('pruning'):.3f}s, "
             f"acd {timings.seconds('acd'):.3f}s, "
-            f"reference {timings.seconds('acd_reference'):.3f}s, "
-            f"pivot-reference {timings.seconds('acd_pivot_reference'):.3f}s, "
             f"traced {timings.seconds('acd_traced'):.3f}s, "
             f"F1 {result.f1:.3f}"
         )
@@ -311,15 +274,7 @@ def main() -> int:
     if "classic" in STAGES:
         overhead_pct = ((traced_total - plain_total) / plain_total * 100.0
                         if plain_total > 0 else 0.0)
-        acd_speedup = (reference_total / plain_total
-                       if plain_total > 0 else 1.0)
-        pivot_speedup = (pivot_reference_total / plain_total
-                         if plain_total > 0 else 1.0)
-        derived.update(
-            trace_overhead_pct=round(overhead_pct, 2),
-            acd_speedup_vs_reference=round(acd_speedup, 2),
-            acd_speedup_vs_pivot_reference=round(pivot_speedup, 2),
-        )
+        derived.update(trace_overhead_pct=round(overhead_pct, 2))
         print(f"trace overhead: {overhead_pct:+.2f}% "
               f"(plain {plain_total:.3f}s, traced {traced_total:.3f}s)")
     if "pipelined" in STAGES:
@@ -327,10 +282,8 @@ def main() -> int:
 
     payload = bench_payload(
         "endtoend",
-        config={"scale": SCALE, "seed": SEED, "engine": ENGINE,
+        config={"scale": SCALE, "seed": SEED,
                 "parallel": PARALLEL, "setting": SETTING,
-                "refine_engine": REFINE_ENGINE,
-                "pivot_engine": PIVOT_ENGINE,
                 "datasets": list(DATASETS),
                 "stages": list(STAGES),
                 "pipeline_records": PIPELINE_RECORDS,

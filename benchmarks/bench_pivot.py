@@ -1,10 +1,11 @@
-"""Pivot-phase benchmark: fast vs reference cluster-generation engine.
+"""Pivot-phase benchmark: fast cluster-generation engine vs its reference.
 
-Runs the generation phase (PC-Pivot) on every dataset under both pivot
-engines and compares the machine-side work: wall-clock seconds, rounds,
-and issued pairs.  The crowd answers are pre-populated by an untimed
-warm-up run, so the timings measure the per-round graph/permutation work
-the fast engine eliminates, not worker-answer synthesis.  Asserts
+Runs the generation phase on every dataset twice — through ``pc_pivot``
+and through its reference oracle ``_pc_pivot_reference`` — and compares
+the machine-side work: wall-clock seconds, rounds, and issued pairs.  The
+crowd answers are pre-populated by an untimed warm-up run, so the timings
+measure the per-round graph/permutation work the fast engine eliminates,
+not worker-answer synthesis.  Asserts
 byte-identical clusterings, issued-pair counts, and per-round diagnostics
 across engines while it is at it, then writes ``BENCH_pivot.json`` at the
 repo root in the shared BENCH schema.
@@ -29,8 +30,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.core.pc_pivot import PCPivotDiagnostics, pc_pivot  # noqa: E402
-from repro.core.pivot_engine import PIVOT_ENGINES  # noqa: E402
+from repro.core.pc_pivot import (  # noqa: E402
+    PCPivotDiagnostics,
+    _pc_pivot_reference,
+    pc_pivot,
+)
 from repro.crowd.oracle import CrowdOracle  # noqa: E402
 from repro.crowd.stats import CrowdStats  # noqa: E402
 from repro.experiments.runner import prepare_instance  # noqa: E402
@@ -48,6 +52,9 @@ SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
 OUTPUT = REPO_ROOT / "BENCH_pivot.json"
 
+#: The production loop and its reference oracle, by engine name.
+ENGINES = {"fast": pc_pivot, "reference": _pc_pivot_reference}
+
 
 def _run_engine(instance, engine: str, reps: int = 1):
     """``reps`` timed generation passes; returns (timings, diagnostics of
@@ -62,9 +69,9 @@ def _run_engine(instance, engine: str, reps: int = 1):
         oracle = CrowdOracle(instance.answers, stats=stats)
         diagnostics = PCPivotDiagnostics()
         with timings.stage("pivot"):
-            clustering = pc_pivot(
+            clustering = ENGINES[engine](
                 instance.record_ids, instance.candidates, oracle,
-                seed=SEED, diagnostics=diagnostics, engine=engine,
+                seed=SEED, diagnostics=diagnostics,
             )
     return timings, diagnostics, clustering, stats.pairs_issued
 
@@ -81,7 +88,7 @@ def main() -> int:
         # is billed for first-ask worker-answer generation.
         _run_engine(instance, "reference")
         per_engine = {}
-        for engine in PIVOT_ENGINES:
+        for engine in ENGINES:
             timings, diagnostics, clustering, pairs = _run_engine(
                 instance, engine, reps=REPS
             )
@@ -122,7 +129,7 @@ def main() -> int:
         "pivot",
         config={"scale": SCALE, "seed": SEED, "reps": REPS,
                 "setting": SETTING, "datasets": list(DATASETS),
-                "engines": list(PIVOT_ENGINES)},
+                "engines": list(ENGINES)},
         runs=runs,
         derived={
             "pivot_speedup_overall": round(

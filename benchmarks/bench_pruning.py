@@ -1,7 +1,9 @@
 """Pruning-phase benchmark: reference scoring loop vs the prefix join.
 
-Runs the pruning phase on every dataset with both engines, checks the
-outputs are byte-identical, and writes ``BENCH_pruning.json`` at the repo
+Runs the pruning phase on every dataset twice — the prefix join with the
+paper's Jaccard, and the reference loop reached by the same metric without
+set metadata (:func:`reference_similarity`) — checks the outputs are
+byte-identical, and writes ``BENCH_pruning.json`` at the repo
 root in the shared BENCH schema (see :mod:`repro.perf.timing`).
 
 Standalone (no pytest)::
@@ -47,7 +49,7 @@ OUTPUT = REPO_ROOT / "BENCH_pruning.json"
 
 def reference_similarity() -> SimilarityFunction:
     """The seed's metric: plain token Jaccard, no view cache, no set
-    metadata — forces the reference engine's text-scoring loop."""
+    metadata — pruning takes the reference text-scoring loop."""
     return SimilarityFunction("jaccard", token_jaccard)
 
 
@@ -60,8 +62,7 @@ def main() -> int:
         ref_timings = StageTimings()
         reference = build_candidate_set(
             dataset.records, reference_similarity(),
-            threshold=PRUNING_THRESHOLD, engine="reference",
-            timings=ref_timings,
+            threshold=PRUNING_THRESHOLD, timings=ref_timings,
         )
         ref_timings.record_throughput("records_per_second",
                                       len(dataset.records))
@@ -73,8 +74,7 @@ def main() -> int:
         join_timings = StageTimings()
         joined = build_candidate_set(
             dataset.records, jaccard_similarity_function(),
-            threshold=PRUNING_THRESHOLD, engine="prefix",
-            timings=join_timings,
+            threshold=PRUNING_THRESHOLD, timings=join_timings,
         )
         join_timings.record_throughput("records_per_second",
                                        len(dataset.records))
@@ -102,8 +102,8 @@ def main() -> int:
             par_timings = StageTimings()
             parallel = build_candidate_set(
                 dataset.records, reference_similarity(),
-                threshold=PRUNING_THRESHOLD, engine="reference",
-                parallel=PARALLEL, timings=par_timings,
+                threshold=PRUNING_THRESHOLD, parallel=PARALLEL,
+                timings=par_timings,
             )
             if parallel.pairs != reference.pairs:
                 print(f"FAIL: {dataset_name}: parallel run disagrees",

@@ -14,7 +14,8 @@ Pruning variants per tier (each capped by its env knob):
 * ``scalar-join`` — prefix engine, scalar kernel (the scalar reference of
   the kernel registry); capped at ``REPRO_BENCH_SCALAR_CAP``.
 * ``reference``   — the seed engine (token blocking + per-pair scoring
-  loop, the original scalar reference of the pruning phase); capped at
+  loop, the original scalar reference of the pruning phase), reached by
+  plain token Jaccard without set metadata; capped at
   ``REPRO_BENCH_REFERENCE_CAP``.
 
 Generation variants per tier (capped at ``REPRO_BENCH_GENERATION_CAP``,
@@ -104,7 +105,11 @@ from repro.perf.timing import (  # noqa: E402
     write_bench_json,
 )
 from repro.pruning.candidate import build_candidate_set  # noqa: E402
-from repro.similarity.composite import jaccard_similarity_function  # noqa: E402
+from repro.similarity.composite import (  # noqa: E402
+    SimilarityFunction,
+    jaccard_similarity_function,
+)
+from repro.similarity.jaccard import token_jaccard  # noqa: E402
 
 TIERS = tuple(
     int(tier)
@@ -135,13 +140,14 @@ SEED = 1
 OUTPUT = REPO_ROOT / "BENCH_scale.json"
 
 
-def _measure(records, *, engine: str, kernel_backend: str, shards: int,
-             parallel: int = 0):
-    """One pruning run; returns (candidate_set, timings-with-meters)."""
+def _measure(records, *, kernel_backend: str, shards: int,
+             parallel: int = 0, similarity=None):
+    """One pruning run; returns (candidate_set, timings-with-meters).
+    ``similarity`` defaults to the prefix-join-eligible Jaccard."""
     timings = StageTimings()
     candidates = build_candidate_set(
-        records, jaccard_similarity_function(),
-        threshold=PRUNING_THRESHOLD, engine=engine,
+        records, similarity or jaccard_similarity_function(),
+        threshold=PRUNING_THRESHOLD,
         kernel_backend=kernel_backend, shards=shards, parallel=parallel,
         timings=timings,
     )
@@ -300,7 +306,7 @@ def _refine_stage(label, tier, runs, derived):
     dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED,
                                   confusion=REFINE_CONFUSION)
     candidates, _ = _measure(
-        dataset.records, engine="prefix", kernel_backend="vectorized",
+        dataset.records, kernel_backend="vectorized",
         shards=SHARDS, parallel=PARALLEL,
     )
 
@@ -359,7 +365,7 @@ def main() -> int:
         assert len(dataset.records) == tier
 
         vec, vec_timings = _measure(
-            dataset.records, engine="prefix", kernel_backend="vectorized",
+            dataset.records, kernel_backend="vectorized",
             shards=SHARDS, parallel=PARALLEL,
         )
         runs[f"{label}/vectorized"] = run_entry(
@@ -375,8 +381,7 @@ def main() -> int:
             # Unsharded single-shard vectorized run: shard-count invariance
             # at real scale (cheap — same kernel, no partitioning).
             one, one_timings = _measure(
-                dataset.records, engine="prefix",
-                kernel_backend="vectorized", shards=1,
+                dataset.records, kernel_backend="vectorized", shards=1,
             )
             runs[f"{label}/vectorized-1shard"] = run_entry(
                 one_timings, records=tier, pairs=len(one), shards=1,
@@ -386,7 +391,7 @@ def main() -> int:
                 return 1
 
             scalar, scalar_timings = _measure(
-                dataset.records, engine="prefix", kernel_backend="scalar",
+                dataset.records, kernel_backend="scalar",
                 shards=0,
             )
             runs[f"{label}/scalar-join"] = run_entry(
@@ -404,8 +409,8 @@ def main() -> int:
 
         if tier <= REFERENCE_CAP:
             reference, ref_timings = _measure(
-                dataset.records, engine="reference", kernel_backend="auto",
-                shards=0,
+                dataset.records, kernel_backend="auto", shards=0,
+                similarity=SimilarityFunction("jaccard", token_jaccard),
             )
             runs[f"{label}/reference"] = run_entry(
                 ref_timings, records=tier, pairs=len(reference),

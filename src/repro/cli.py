@@ -37,9 +37,6 @@ from repro.experiments.runner import (
     run_comparison,
     run_method,
 )
-from repro.core.pivot_engine import PIVOT_ENGINES
-from repro.core.refine import REFINE_ENGINES
-from repro.pruning.candidate import ENGINES
 from repro.similarity.kernels import KERNEL_BACKENDS
 from repro.experiments.sweeps import epsilon_sweep, threshold_sweep
 from repro.experiments.tables import (
@@ -67,11 +64,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="dataset size multiplier (1.0 = paper size)")
     parser.add_argument("--seed", type=int, default=1,
                         help="dataset/crowd seed")
-    parser.add_argument("--engine", choices=ENGINES, default="auto",
-                        help="pruning engine (prefix join vs reference loop)")
     parser.add_argument("--parallel", type=int, default=0,
-                        help="worker processes for reference pruning or "
-                             "sharded prefix-join execution (<= 1 is serial)")
+                        help="worker processes for the sharded prefix "
+                             "join (pruning always uses Jaccard, so this "
+                             "only matters when --shards splits the join; "
+                             "<= 1 is serial)")
     parser.add_argument("--shards", type=_shards_value, default=0,
                         help="blocking-key shards for the prefix join "
                              "(0/1 = unsharded; identical output at any "
@@ -85,7 +82,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _prepare(args: argparse.Namespace, obs=None, candidates=None) -> Instance:
     return prepare_instance(
         args.dataset, args.setting, scale=args.scale, seed=args.seed,
-        engine=args.engine, parallel=args.parallel, shards=args.shards,
+        parallel=args.parallel, shards=args.shards,
         kernel_backend=args.kernel_backend, obs=obs, candidates=candidates,
     )
 
@@ -158,16 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "from --trace)")
     run.add_argument("--output", default=None, metavar="PATH",
                      help="also write the result metrics as JSON to PATH")
-    run.add_argument("--refine-engine", choices=REFINE_ENGINES,
-                     default="fast",
-                     help="refinement evaluation engine: incremental "
-                          "'fast' (default) or full-re-evaluation "
-                          "'reference'; outputs are byte-identical")
-    run.add_argument("--pivot-engine", choices=PIVOT_ENGINES,
-                     default="fast",
-                     help="cluster-generation engine: incremental 'fast' "
-                          "(default) or per-round re-derivation "
-                          "'reference'; outputs are byte-identical")
     run.add_argument("--pivot-shards", type=_shards_value, default=0,
                      metavar="N",
                      help="shard cluster generation: split the candidate "
@@ -175,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "into N shard tasks, and merge per-shard "
                           "PC-Pivot results (0 = classic single-graph "
                           "loop; clustering is byte-identical for every "
-                          "N; requires the 'fast' engine)")
+                          "N)")
     run.add_argument("--pivot-processes", type=int, default=0, metavar="N",
                      help="worker processes for the pivot shard tasks "
                           "(<= 1 runs them in-process; ignored without "
@@ -187,8 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "tasks, and replay per-shard PC-Refine rounds "
                           "under one global budget (0 = classic "
                           "single-clustering loop; output is "
-                          "byte-identical for every N; requires the "
-                          "'fast' engine)")
+                          "byte-identical for every N)")
     run.add_argument("--refine-processes", type=int, default=0, metavar="N",
                      help="worker processes for the refine shard tasks "
                           "(<= 1 runs them in-process; ignored without "
@@ -399,15 +385,12 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "seed": args.seed,
         "method": args.method,
         "method_seed": args.method_seed,
-        "refine_engine": args.refine_engine,
-        "pivot_engine": args.pivot_engine,
         "pivot_shards": args.pivot_shards,
         "pivot_processes": args.pivot_processes,
         "refine_shards": args.refine_shards,
         "refine_processes": args.refine_processes,
         "pipeline": args.pipeline,
         "pipeline_workers": args.pipeline_workers,
-        "engine": args.engine,
         "parallel": args.parallel,
         "shards": args.shards,
         "kernel_backend": args.kernel_backend,
@@ -480,8 +463,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
     try:
         result = run_method(args.method, instance, seed=args.method_seed,
                             gcer_budget=gcer_budget, obs=obs,
-                            refine_engine=args.refine_engine,
-                            pivot_engine=args.pivot_engine,
                             pivot_shards=args.pivot_shards,
                             pivot_processes=args.pivot_processes,
                             refine_shards=args.refine_shards,

@@ -40,7 +40,6 @@ from repro.core.pc_pivot import (
     pc_pivot,
 )
 from repro.core.pivot_engine import (
-    PIVOT_ENGINES,
     LiveVertexOrder,
     choose_pivots,
 )
@@ -54,7 +53,6 @@ from repro.core.permutation import Permutation
 from repro.core.pivot import crowd_pivot
 from repro.core.refine import (
     BENEFIT_TOLERANCE,
-    REFINE_ENGINES,
     build_estimator,
     crowd_refine,
     enumerate_operations,
@@ -76,10 +74,8 @@ __all__ = [
     "OperationEvaluator",
     "PCPivotDiagnostics",
     "PCRefineDiagnostics",
-    "PIVOT_ENGINES",
     "PartialPivotResult",
     "Permutation",
-    "REFINE_ENGINES",
     "Split",
     "apply_operation",
     "build_estimator",

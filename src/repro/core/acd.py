@@ -76,11 +76,9 @@ def run_acd(
     max_refinement_pairs: Optional[int] = None,
     journal_path: Optional[Union[str, Path]] = None,
     obs: Optional[ObsContext] = None,
-    refine_engine: str = "fast",
-    pivot_engine: str = "fast",
-    pivot_shards: int = 0,
+    pivot_shards: Union[int, str] = 0,
     pivot_processes: int = 0,
-    refine_shards: int = 0,
+    refine_shards: Union[int, str] = 0,
     refine_processes: int = 0,
     checkpoints: Optional[CheckpointStore] = None,
     resume: bool = False,
@@ -121,31 +119,24 @@ def run_acd(
             is written atomically on completion.  ``None`` (the default)
             changes nothing: the result is byte-identical to an
             unobserved run.
-        refine_engine: Phase-3 evaluation engine — "fast" (incremental
-            caching, the default) or "reference" (full re-evaluation).
-            Outputs are byte-identical; see
-            :data:`~repro.core.refine.REFINE_ENGINES`.
-        pivot_engine: Phase-2 cluster-generation engine — "fast"
-            (incremental pivot order + fused Equation-4 scan, the
-            default) or "reference" (per-round re-derivation).  Outputs
-            are byte-identical; see
-            :data:`~repro.core.pivot_engine.PIVOT_ENGINES`.
         pivot_shards: When >= 1, phase 2 runs the sharded engine of
             :mod:`repro.core.pivot_shard` — connected components of the
             candidate graph packed into this many shard tasks with a
             cross-shard merge.  The clustering is byte-identical to the
-            unsharded engines; requires ``parallel=True``,
-            ``pivot_engine="fast"``, and a pair-deterministic answer
-            source.
+            unsharded loop; requires ``parallel=True`` and a
+            pair-deterministic answer source.  ``"auto"`` lets
+            :func:`~repro.runtime.autoshard.resolve_auto_shards` pick,
+            and falls back to the classic loop wherever sharding does
+            not apply.
         pivot_processes: Worker processes for the shard tasks (``<= 1``
             runs them in-process; ignored without ``pivot_shards``).
         refine_shards: When >= 1, phase 3 runs the sharded engine of
             :mod:`repro.core.refine_shard` — connected components of the
             candidate + cluster graph refined independently with a
             frozen global budget and a cross-shard merged-round replay.
-            Requires ``parallel=True``, ``refine_engine="fast"``, no
-            ``max_refinement_pairs``, and a pair-deterministic answer
-            source.
+            Requires ``parallel=True``, no ``max_refinement_pairs``, and
+            a pair-deterministic answer source.  ``"auto"`` behaves as
+            for ``pivot_shards``.
         refine_processes: Worker processes for the refine shard tasks
             (``<= 1`` runs them in-process; ignored without
             ``refine_shards``).
@@ -160,9 +151,9 @@ def run_acd(
             over one shared worker pool
             (:func:`repro.runtime.pipeline.run_pipeline`) instead of
             barrier-synchronized phases.  Byte-identical output;
-            requires ``parallel=True``, the "fast" engines, no
-            ``max_refinement_pairs``, and no per-phase shard knobs (the
-            pipeline owns the component decomposition).
+            requires ``parallel=True``, no ``max_refinement_pairs``, and
+            no per-phase shard knobs (the pipeline owns the component
+            decomposition).
         pipeline_workers: Worker processes for the shared pipeline pool
             (``<= 1`` runs the DAG inline; ignored without
             ``pipeline``).
@@ -182,12 +173,6 @@ def run_acd(
             raise ValueError(
                 "pipeline requires parallel=True: the sequential engines "
                 "have no component decomposition to stream"
-            )
-        if pivot_engine != "fast" or refine_engine != "fast":
-            raise ValueError(
-                "pipeline requires the 'fast' engines, got "
-                f"pivot_engine={pivot_engine!r}, "
-                f"refine_engine={refine_engine!r}"
             )
         if max_refinement_pairs is not None:
             raise ValueError(
@@ -223,9 +208,7 @@ def run_acd(
                 refine=refine, parallel=parallel,
                 pairs_per_hit=pairs_per_hit, ranking=ranking,
                 max_refinement_pairs=max_refinement_pairs,
-                obs=obs, refine_engine=refine_engine,
-                pivot_engine=pivot_engine,
-                pivot_shards=pivot_shards,
+                obs=obs, pivot_shards=pivot_shards,
                 pivot_processes=pivot_processes,
                 refine_shards=refine_shards,
                 refine_processes=refine_processes,
@@ -234,25 +217,24 @@ def run_acd(
         finally:
             journaled.close()
 
-    if pivot_shards and not parallel:
+    # Fail fast on sharded config errors *before* the (possibly expensive)
+    # generation phase runs, with the same messages pc_refine itself
+    # raises.  "auto" is not an explicit request: the phase functions
+    # resolve it to the classic loop wherever sharding does not apply.
+    explicit_pivot_shards = not isinstance(pivot_shards, str) and pivot_shards
+    explicit_refine_shards = (not isinstance(refine_shards, str)
+                              and refine_shards)
+    if explicit_pivot_shards and not parallel:
         raise ValueError(
             "pivot_shards requires parallel=True: sequential Crowd-Pivot "
             "has no sharded engine"
         )
-    # Fail fast on sharded-refinement config errors *before* the (possibly
-    # expensive) generation phase runs, with the same messages pc_refine
-    # itself raises.
-    if refine_shards and not parallel:
+    if explicit_refine_shards and not parallel:
         raise ValueError(
             "refine_shards requires parallel=True: sequential Crowd-Refine "
             "has no sharded engine"
         )
-    if refine_shards and refine_engine != "fast":
-        raise ValueError(
-            "sharded refinement requires the 'fast' engine, "
-            f"got {refine_engine!r}"
-        )
-    if refine_shards and max_refinement_pairs is not None:
+    if explicit_refine_shards and max_refinement_pairs is not None:
         raise ValueError(
             "sharded refinement does not support max_refinement_pairs "
             "(a global sequential pair cap cannot decompose across "
@@ -297,13 +279,13 @@ def run_acd(
                             ids, candidates, oracle, epsilon=epsilon,
                             permutation=permutation, seed=seed,
                             diagnostics=pivot_diagnostics,
-                            obs=obs, engine=pivot_engine,
-                            shards=pivot_shards, processes=pivot_processes,
+                            obs=obs, shards=pivot_shards,
+                            processes=pivot_processes,
                         )
                     else:
                         clustering = crowd_pivot(
                             ids, candidates, oracle, permutation=permutation,
-                            seed=seed, obs=obs, engine=pivot_engine,
+                            seed=seed, obs=obs,
                         )
             generation_stats = stats.snapshot()
             if checkpoints is not None and restored is None:
@@ -325,15 +307,13 @@ def run_acd(
                             diagnostics=refine_diagnostics,
                             ranking=ranking,
                             max_refinement_pairs=max_refinement_pairs,
-                            obs=obs, engine=refine_engine,
-                            shards=refine_shards,
+                            obs=obs, shards=refine_shards,
                             processes=refine_processes,
                         )
                     else:
                         clustering = crowd_refine(
                             clustering, candidates, oracle,
                             num_buckets=num_buckets, obs=obs,
-                            engine=refine_engine,
                         )
                 if checkpoints is not None:
                     checkpoints.save(
@@ -368,8 +348,6 @@ def run_acd(
                 "pairs_per_hit": pairs_per_hit,
                 "ranking": ranking,
                 "max_refinement_pairs": max_refinement_pairs,
-                "refine_engine": refine_engine,
-                "pivot_engine": pivot_engine,
                 "pivot_shards": pivot_shards,
                 "pivot_processes": pivot_processes,
                 "refine_shards": refine_shards,

@@ -6,12 +6,12 @@ then runs one Partial-Pivot round.  Lemma 4: the clustering equals sequential
 Crowd-Pivot's for the same permutation (hence the same expected
 5-approximation), and at most an ``ε`` fraction of issued pairs is wasted.
 
-Two engines run the loop (see :data:`~repro.core.pivot_engine.PIVOT_ENGINES`):
-``reference`` re-sorts the live vertices and re-derives the waste estimates
-from scratch every round (the literal reading above), while ``fast`` keeps
-an incremental permutation-ordered live list, fuses the Equation-4 scan into
-one early-exiting pass, and hands the chosen pivots to Partial-Pivot instead
-of recomputing them.  Outputs are byte-identical.
+The loop keeps an incremental permutation-ordered live list, fuses the
+Equation-4 scan into one early-exiting pass, and hands the chosen pivots to
+Partial-Pivot instead of recomputing them (:mod:`repro.core.pivot_engine`).
+:func:`_pc_pivot_reference` re-sorts the live vertices and re-derives the
+waste estimates from scratch every round (the literal reading above); it is
+the oracle the fast loop is checked against.  Outputs are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from typing import List, Optional
 from repro.core.clustering import Clustering
 from repro.core.partial_pivot import partial_pivot, waste_estimates
 from repro.core.permutation import Permutation
-from repro.core.pivot_engine import (
-    PIVOT_ENGINES,
-    LiveVertexOrder,
-    choose_pivots,
-    require_pivot_engine,
-)
+from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
 from repro.crowd.oracle import CrowdOracle
 from repro.pruning.candidate import CandidateSet
 from repro.pruning.graph import CandidateGraph, EagerCandidateGraph
@@ -37,7 +32,6 @@ DEFAULT_EPSILON = 0.1
 
 __all__ = [
     "DEFAULT_EPSILON",
-    "PIVOT_ENGINES",
     "PCPivotDiagnostics",
     "choose_k",
     "pc_pivot",
@@ -119,7 +113,6 @@ def pc_pivot(
     rng: Optional[random.Random] = None,
     diagnostics: Optional[PCPivotDiagnostics] = None,
     obs=None,
-    engine: str = "fast",
     shards: int = 0,
     processes: int = 0,
     supervisor_policy=None,
@@ -142,23 +135,19 @@ def pc_pivot(
             forced down to ``k=1`` under a positive ε additionally emit a
             ``pivot.waste_bound_binding`` warning event — the waste bound
             is binding and the round runs sequentially.
-        engine: One of :data:`~repro.core.pivot_engine.PIVOT_ENGINES` —
-            "fast" (incremental order + fused Equation-4 scan, default)
-            or "reference" (per-round re-derivation); outputs are
-            byte-identical.
         shards: When >= 1, run the sharded engine of
             :mod:`repro.core.pivot_shard`: the candidate graph splits
             into connected components, components pack into this many
             shard tasks, and a cross-shard merge reassembles the result.
             The clustering (including cluster IDs) is byte-identical to
-            the unsharded engines; stats/diagnostics/events follow the
+            the unsharded loop; stats/diagnostics/events follow the
             sharded engine's merged component-round accounting (round
             ``r`` batches every component's local round ``r`` at once,
             so the iteration count reports the parallel crowd latency),
             identical for every shard count, process count, and fault
             plan.
-            Requires ``engine="fast"`` and a pair-deterministic answer
-            source.  ``0`` (default) keeps the classic single-graph loop.
+            Requires a pair-deterministic answer source.  ``0``
+            (default) keeps the classic single-graph loop.
         processes: Worker processes for the shard tasks (``<= 1`` runs
             them in-process; ignored without ``shards``).
         supervisor_policy: Fault-handling knobs forwarded to the
@@ -170,17 +159,12 @@ def pc_pivot(
         The clustering ``C`` (identical in distribution — in fact identical
         per-permutation — to Crowd-Pivot's).
     """
-    require_pivot_engine(engine)
     ids = list(record_ids)
     if isinstance(shards, str):
         from repro.runtime.autoshard import resolve_auto_shards
 
         shards = resolve_auto_shards("pivot", records=len(ids),
                                      requested=shards, obs=obs)
-        if engine != "fast":
-            # The heuristic never picks a config the sharded engine
-            # rejects; explicit shard counts still fail fast below.
-            shards = 0
         if shards == 0:
             processes = 0  # classic engine: no pool to feed
     if shards < 0:
@@ -192,25 +176,20 @@ def pc_pivot(
     if permutation is None:
         permutation = Permutation.random(ids, rng=rng, seed=seed)
     if shards:
-        if engine != "fast":
-            raise ValueError(
-                f"sharded generation requires the 'fast' engine, "
-                f"got {engine!r}"
-            )
         from repro.core.pivot_shard import pc_pivot_sharded
         return pc_pivot_sharded(
             ids, candidates, oracle, epsilon, permutation, diagnostics,
             obs, shards=shards, processes=processes,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
-    run = _pc_pivot_fast if engine == "fast" else _pc_pivot_reference
-    return run(ids, candidates, oracle, epsilon, permutation, diagnostics,
-               obs)
+    return _pc_pivot_fast(ids, candidates, oracle, epsilon, permutation,
+                          diagnostics, obs)
 
 
 def _finish_round(obs, diagnostics, round_index, k, result, epsilon,
                   live_before, remaining) -> None:
-    """Per-round bookkeeping shared by both engines (identical streams)."""
+    """Per-round bookkeeping shared by the fast loop and its reference
+    oracle (identical streams)."""
     if diagnostics is not None:
         diagnostics.ks.append(k)
         diagnostics.predicted_waste.append(result.predicted_waste)
@@ -238,9 +217,24 @@ def _finish_round(obs, diagnostics, round_index, k, result, epsilon,
         )
 
 
-def _pc_pivot_reference(ids, candidates, oracle, epsilon, permutation,
-                        diagnostics, obs) -> Clustering:
-    """Reference engine: whole-graph re-derivation every round."""
+def _pc_pivot_reference(
+    record_ids,
+    candidates: CandidateSet,
+    oracle: CrowdOracle,
+    epsilon: float = DEFAULT_EPSILON,
+    permutation: Optional[Permutation] = None,
+    seed: Optional[int] = None,
+    rng: Optional[random.Random] = None,
+    diagnostics: Optional[PCPivotDiagnostics] = None,
+    obs=None,
+) -> Clustering:
+    """Reference oracle for :func:`pc_pivot`: whole-graph re-derivation
+    every round (:func:`choose_k` + a Partial-Pivot that recomputes its own
+    waste bound).  Takes the classic loop's keywords, so the equivalence
+    suites and ``bench_pivot`` call it in place of :func:`pc_pivot`."""
+    ids = list(record_ids)
+    if permutation is None:
+        permutation = Permutation.random(ids, rng=rng, seed=seed)
     graph = CandidateGraph(ids, candidates.pairs)
     clustering = Clustering()
 
@@ -260,7 +254,8 @@ def _pc_pivot_reference(ids, candidates, oracle, epsilon, permutation,
 
 def _pc_pivot_fast(ids, candidates, oracle, epsilon, permutation,
                    diagnostics, obs) -> Clustering:
-    """Fast engine: incremental live order, fused scan, shared estimates.
+    """The classic loop: incremental live order, fused scan, shared
+    estimates.
 
     Byte-identical to :func:`_pc_pivot_reference` (same pivots, same crowd
     batches, same diagnostics and events) — property-tested in

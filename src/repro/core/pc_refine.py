@@ -27,7 +27,6 @@ from repro.core.operations import (
 )
 from repro.core.refine import (
     BENEFIT_TOLERANCE,
-    REFINE_ENGINES,
     OperationCache,
     apply_free_operations,
     build_estimator,
@@ -215,19 +214,22 @@ def _pc_refine_reference(
     clustering: Clustering,
     candidates: CandidateSet,
     oracle: CrowdOracle,
-    num_records: int,
-    threshold_divisor: float,
-    num_buckets: int,
-    diagnostics: Optional[PCRefineDiagnostics],
-    ranking: str,
-    max_refinement_pairs: Optional[int],
-    obs,
+    num_records: Optional[int] = None,
+    threshold_divisor: float = DEFAULT_THRESHOLD_DIVISOR,
+    num_buckets: int = DEFAULT_NUM_BUCKETS,
+    diagnostics: Optional[PCRefineDiagnostics] = None,
+    ranking: str = "ratio",
+    max_refinement_pairs: Optional[int] = None,
+    obs=None,
     timings=None,
 ) -> Clustering:
-    """Reference engine: fresh evaluator walks, full re-enumeration and
-    re-sort per round, per-round unknown-pair sweep.  The literal reading
-    of Algorithm 5; kept for equivalence tests and as the benchmark
-    baseline."""
+    """Reference oracle for :func:`pc_refine`: fresh evaluator walks, full
+    re-enumeration and re-sort per round, per-round unknown-pair sweep.
+    The literal reading of Algorithm 5; takes the classic loop's keywords,
+    so the equivalence suites and ``bench_refine`` call it in place of
+    :func:`pc_refine`."""
+    if num_records is None:
+        num_records = clustering.num_records
     pairs_at_start = oracle.stats.pairs_issued
     estimator = build_estimator(candidates, oracle, num_buckets=num_buckets)
     evaluator = OperationEvaluator(clustering, candidates, oracle, estimator)
@@ -443,7 +445,6 @@ def pc_refine(
     ranking: str = "ratio",
     max_refinement_pairs: Optional[int] = None,
     obs=None,
-    engine: str = "fast",
     shards: int = 0,
     processes: int = 0,
     supervisor_policy=None,
@@ -455,8 +456,8 @@ def pc_refine(
     The returned clustering is *canonicalized*: cluster ids are
     renumbered ``0..n-1`` ascending by smallest member (see
     :meth:`~repro.core.clustering.Clustering.canonicalize`), so any two
-    engine configurations that produce the same partition also produce
-    byte-identical ids.
+    configurations (sharded or not) that produce the same partition also
+    produce byte-identical ids.
 
     Args:
         clustering: Phase-2 output ``C`` (mutated).
@@ -478,9 +479,6 @@ def pc_refine(
             emits a ``refine.round`` event (budget ``T``, packed batch,
             applied count, histogram state) and bumps the round / free
             counters.
-        engine: One of :data:`~repro.core.refine.REFINE_ENGINES` — "fast"
-            (incremental, default) or "reference" (full re-evaluation);
-            outputs are byte-identical.
         shards: When >= 1, run the sharded engine of
             :mod:`repro.core.refine_shard`: the clustering partitions
             along connected components of the candidate graph (plus
@@ -492,9 +490,9 @@ def pc_refine(
             are byte-identical for every shard count, process count, and
             fault plan; round accounting follows the merged
             component-round schedule (round ``r`` batches every
-            component's local round ``r`` at once).  Requires
-            ``engine="fast"``, a pair-deterministic answer source, and
-            no ``max_refinement_pairs`` cap.  ``0`` (default) keeps the
+            component's local round ``r`` at once).  Requires a
+            pair-deterministic answer source and no
+            ``max_refinement_pairs`` cap.  ``0`` (default) keeps the
             classic single-clustering loop.
         processes: Worker processes for the shard tasks (``<= 1`` runs
             them in-process; ignored without ``shards``).
@@ -509,10 +507,6 @@ def pc_refine(
             (confirmed application), and ``refine.free`` (zero-cost
             path) — the breakdown ``bench_refine`` reports.
     """
-    if engine not in REFINE_ENGINES:
-        raise ValueError(
-            f"engine must be one of {REFINE_ENGINES}, got {engine!r}"
-        )
     if num_records is None:
         num_records = clustering.num_records
     if isinstance(shards, str):
@@ -520,7 +514,7 @@ def pc_refine(
 
         shards = resolve_auto_shards("refine", records=num_records,
                                      requested=shards, obs=obs)
-        if engine != "fast" or max_refinement_pairs is not None:
+        if max_refinement_pairs is not None:
             # The heuristic never picks a config the sharded engine
             # rejects; explicit shard counts still fail fast below.
             shards = 0
@@ -537,11 +531,6 @@ def pc_refine(
             f"max_refinement_pairs must be >= 0, got {max_refinement_pairs}"
         )
     if shards:
-        if engine != "fast":
-            raise ValueError(
-                f"sharded refinement requires the 'fast' engine, "
-                f"got {engine!r}"
-            )
         if max_refinement_pairs is not None:
             raise ValueError(
                 "sharded refinement does not support max_refinement_pairs "
@@ -555,7 +544,7 @@ def pc_refine(
             processes=processes, supervisor_policy=supervisor_policy,
             fault_plan=fault_plan, timings=timings,
         )
-    refine = _pc_refine_fast if engine == "fast" else _pc_refine_reference
-    return refine(clustering, candidates, oracle, num_records,
-                  threshold_divisor, num_buckets, diagnostics, ranking,
-                  max_refinement_pairs, obs, timings=timings)
+    return _pc_refine_fast(clustering, candidates, oracle, num_records,
+                           threshold_divisor, num_buckets, diagnostics,
+                           ranking, max_refinement_pairs, obs,
+                           timings=timings)

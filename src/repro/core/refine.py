@@ -32,12 +32,6 @@ from repro.pruning.candidate import CandidateSet
 # 1/num_workers), so any genuine improvement is far above float dust.
 BENEFIT_TOLERANCE = 1e-9
 
-#: Refinement engines: "fast" (incremental EvaluationCache + lazy ranking)
-#: and "reference" (full re-evaluation per iteration, the literal reading of
-#: Algorithms 4-5).  Outputs are byte-identical; "reference" exists for
-#: equivalence testing and as the benchmark baseline.
-REFINE_ENGINES = ("fast", "reference")
-
 
 def enumerate_operations(clustering: Clustering,
                          candidates: CandidateSet) -> List[Operation]:
@@ -487,7 +481,8 @@ def _crowd_refine_reference(
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     obs=None,
 ) -> Clustering:
-    """Reference engine: re-evaluates every operation per outer iteration.
+    """Reference oracle for :func:`crowd_refine`: re-evaluates every
+    operation per outer iteration.
 
     The literal reading of Algorithm 4's estimated path; kept for
     equivalence tests and as the ``bench_refine`` baseline.
@@ -760,7 +755,6 @@ def crowd_refine(
     oracle: CrowdOracle,
     num_buckets: int = DEFAULT_NUM_BUCKETS,
     obs=None,
-    engine: str = "fast",
 ) -> Clustering:
     """Run Crowd-Refine; refines ``clustering`` in place and returns it.
 
@@ -773,15 +767,6 @@ def crowd_refine(
             iteration emits a ``refine.step`` event (chosen operation, its
             ratio / cost / confirmed benefit, histogram state) and bumps
             the step / free-operation counters.
-        engine: One of :data:`REFINE_ENGINES` — "fast" (incremental,
-            default) or "reference" (full re-evaluation); outputs are
-            byte-identical.
     """
-    if engine not in REFINE_ENGINES:
-        raise ValueError(
-            f"engine must be one of {REFINE_ENGINES}, got {engine!r}"
-        )
-    refine = (_crowd_refine_fast if engine == "fast"
-              else _crowd_refine_reference)
-    return refine(clustering, candidates, oracle, num_buckets=num_buckets,
-                  obs=obs)
+    return _crowd_refine_fast(clustering, candidates, oracle,
+                              num_buckets=num_buckets, obs=obs)

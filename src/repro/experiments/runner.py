@@ -70,7 +70,6 @@ def prepare_instance(
     scale: float = 1.0,
     seed: int = 0,
     threshold: float = PRUNING_THRESHOLD,
-    engine: str = "auto",
     parallel: int = 0,
     shards: int = 0,
     kernel_backend: str = "auto",
@@ -88,10 +87,9 @@ def prepare_instance(
         scale: Dataset size multiplier (1.0 = Table 3 size).
         seed: Dataset generation seed.
         threshold: Pruning threshold τ (paper: 0.3).
-        engine: Pruning engine: 'auto', 'reference', or 'prefix'
-            (see :func:`repro.pruning.candidate.build_candidate_set`).
-        parallel: Worker processes (reference scoring loop or sharded
-            prefix join; <= 1 runs serially).
+        parallel: Worker processes for the sharded prefix join (this
+            pruning always uses Jaccard, so the join runs; matters only
+            with ``shards`` > 1; <= 1 runs serially).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded;
             output is identical for every value).
         kernel_backend: Prefix-join verification kernel: 'auto',
@@ -112,7 +110,7 @@ def prepare_instance(
         candidates = build_candidate_set(
             dataset.records, jaccard_similarity_function(),
             threshold=threshold,
-            engine=engine, parallel=parallel, shards=shards,
+            parallel=parallel, shards=shards,
             kernel_backend=kernel_backend, timings=timings, obs=obs,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
@@ -178,8 +176,6 @@ def run_method(
     epsilon: float = 0.1,
     threshold_divisor: float = 8.0,
     obs=None,
-    refine_engine: str = "fast",
-    pivot_engine: str = "fast",
     pivot_shards: int = 0,
     pivot_processes: int = 0,
     refine_shards: int = 0,
@@ -202,12 +198,6 @@ def run_method(
             get the full phase-level trace from :func:`run_acd`; baseline
             methods run inside a single ``method`` span with their crowd
             batches traced through the oracle.
-        refine_engine: ACD refinement evaluation engine ("fast" or
-            "reference"; byte-identical outputs) — ignored by the
-            non-ACD baselines.
-        pivot_engine: Cluster-generation engine ("fast" or "reference";
-            byte-identical outputs) for ACD / PC-Pivot / Crowd-Pivot —
-            ignored by the other baselines.
         pivot_shards: Shard tasks for sharded cluster generation (ACD /
             PC-Pivot only; forwarded to :func:`~repro.core.acd.run_acd`).
             0 keeps the classic single-graph loop.
@@ -223,8 +213,11 @@ def run_method(
             :class:`~repro.runtime.checkpoint.CheckpointStore` for
             phase-level crash safety (ACD / PC-Pivot only; forwarded to
             :func:`~repro.core.acd.run_acd`).
-        resume: With ``checkpoints``, restore the generation phase from
-            its checkpoint instead of re-running it when one exists.
+        resume: With ``checkpoints``, restore the deepest finished phase
+            from its checkpoint when one exists: a ``refinement``
+            checkpoint skips both crowd phases, a ``generation``
+            checkpoint skips cluster generation (see
+            :func:`~repro.core.acd.run_acd`).
         pipeline: Run ACD's crowd phases as the component-streaming
             pipeline (ACD / PC-Pivot only; forwarded to
             :func:`~repro.core.acd.run_acd`).  Byte-identical output.
@@ -239,9 +232,7 @@ def run_method(
             epsilon=epsilon, threshold_divisor=threshold_divisor,
             seed=seed, refine=(method == ACD_METHOD),
             pairs_per_hit=instance.setting.pairs_per_hit,
-            obs=obs, refine_engine=refine_engine,
-            pivot_engine=pivot_engine,
-            pivot_shards=pivot_shards,
+            obs=obs, pivot_shards=pivot_shards,
             pivot_processes=pivot_processes,
             refine_shards=refine_shards,
             refine_processes=refine_processes,
@@ -255,8 +246,7 @@ def run_method(
         if method == CROWD_PIVOT_METHOD:
             from repro.core.pivot import crowd_pivot
             clustering = crowd_pivot(ids, instance.candidates, oracle,
-                                     seed=seed, obs=obs,
-                                     engine=pivot_engine)
+                                     seed=seed, obs=obs)
         elif method == CROWDER_METHOD:
             clustering = crowder_plus(ids, instance.candidates, oracle)
         elif method == TRANSM_METHOD:

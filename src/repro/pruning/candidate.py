@@ -8,20 +8,23 @@ several baselines' pair orderings.
 
 Engines
 -------
-``build_candidate_set`` picks among three ways of producing ``S``:
+``build_candidate_set`` picks one of two ways of producing ``S`` from its
+input; no caller can force the choice:
 
-* ``reference`` — the seed implementation: enumerate candidate pairs
-  (token blocking / all pairs / caller-supplied) and score each one.
 * ``prefix`` — the length- and prefix-filtered set-similarity join
-  (:mod:`repro.pruning.prefix_join`); only valid for set-overlap metrics,
-  for which it provably produces the identical :class:`CandidateSet`.
-* ``auto`` (default) — ``prefix`` whenever it is provably equivalent to
-  what ``reference`` would compute, else ``reference``; the opt-in
-  ``parallel=N`` knob fans the reference scoring loop out to worker
-  processes for expensive non-set metrics.
+  (:mod:`repro.pruning.prefix_join`).  It runs whenever it provably
+  produces the :class:`CandidateSet` the reference loop would: the
+  similarity carries set metadata, no external ``candidate_pairs`` are
+  given, and token blocking (when on) matches the metric's set domain.
+* ``reference`` — the seed implementation: enumerate candidate pairs
+  (token blocking / all pairs / caller-supplied) and score each one.  It
+  is the production path for every other input (Jaro-Winkler, Soft
+  TF-IDF, field similarities, custom blockers); the opt-in ``parallel=N``
+  knob fans its scoring loop out to worker processes
+  (:mod:`repro.pruning.parallel`).
 
-Orthogonally to the engine, the prefix join itself dispatches between two
-*kernel backends* (:data:`~repro.similarity.kernels.KERNEL_BACKENDS`): the
+The prefix join itself dispatches between two *kernel backends*
+(:data:`~repro.similarity.kernels.KERNEL_BACKENDS`): the
 ``scalar`` per-pair reference and the ``vectorized`` numpy batch path of
 :mod:`repro.pruning.shard`, which also accepts a ``shards`` count for
 blocking-key partitioned (optionally multi-process) execution.  All
@@ -46,8 +49,6 @@ from repro.similarity.kernels import numpy_available, resolve_kernel_backend
 Pair = Tuple[int, int]
 
 DEFAULT_THRESHOLD = 0.3
-
-ENGINES = ("auto", "reference", "prefix")
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ def build_candidate_set(
     threshold: float = DEFAULT_THRESHOLD,
     candidate_pairs: Optional[Iterable[Pair]] = None,
     use_token_blocking: bool = True,
-    engine: str = "auto",
     parallel: int = 0,
     shards: int = 0,
     kernel_backend: str = "auto",
@@ -137,10 +137,10 @@ def build_candidate_set(
             ``candidate_pairs`` is not given.  Disable for similarity metrics
             that can score > τ with zero shared word tokens (e.g. q-gram or
             edit-distance metrics).
-        engine: ``auto`` | ``reference`` | ``prefix`` (see module docstring).
-        parallel: Worker processes; for the reference engine this fans out
+        parallel: Worker processes; for the reference loop this fans out
             the scoring loop, for the sharded prefix join it runs shards in
-            parallel (needs ``shards`` > 1 to matter there).
+            parallel (needs ``shards`` > 1 to matter there).  Which of the
+            two runs follows from the inputs (see module docstring).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded).
             Any value yields byte-identical output; > 1 is a scale knob.
         kernel_backend: ``auto`` | ``vectorized`` | ``scalar`` — how prefix
@@ -165,43 +165,31 @@ def build_candidate_set(
     """
     if not 0.0 <= threshold < 1.0:
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    chosen = ("prefix" if _prefix_join_eligible(
+        similarity, candidate_pairs, use_token_blocking) else "reference")
     if isinstance(shards, str):
         from repro.runtime.autoshard import resolve_auto_shards
 
         shards = resolve_auto_shards("pruning", records=len(records),
                                      requested=shards, obs=obs)
-        if shards > 1 and (engine == "reference" or not _prefix_join_eligible(
-                similarity, candidate_pairs, use_token_blocking)):
+        if chosen == "reference":
             # The heuristic never forces sharding onto the reference path.
             shards = 0
     if shards < 0:
         raise ValueError(f"shards must be >= 0, got {shards}")
     resolved_backend = resolve_kernel_backend(kernel_backend)
-
-    eligible = _prefix_join_eligible(similarity, candidate_pairs,
-                                     use_token_blocking)
-    if engine == "prefix" and not eligible:
-        raise ValueError(
-            "the prefix engine needs a set-overlap similarity, no external "
-            "candidate_pairs, and a blocking domain matching the metric "
-            f"(similarity={similarity.name!r})"
-        )
-    chosen = ("prefix" if engine == "prefix" or (engine == "auto" and eligible)
-              else "reference")
     if chosen == "reference":
         if shards > 1:
             raise ValueError(
-                "shards > 1 applies only to the prefix join; the chosen "
-                f"engine here is 'reference' (engine={engine!r}, "
-                f"similarity={similarity.name!r})"
+                "shards > 1 applies only to the prefix join; this input "
+                "takes the reference loop "
+                f"(similarity={similarity.name!r})"
             )
         if kernel_backend == "vectorized":
             raise ValueError(
                 "kernel_backend='vectorized' applies only to the prefix "
-                "join; the chosen engine here is 'reference' "
-                f"(engine={engine!r}, similarity={similarity.name!r})"
+                "join; this input takes the reference loop "
+                f"(similarity={similarity.name!r})"
             )
     use_sharded = (chosen == "prefix"
                    and (shards > 1 or resolved_backend == "vectorized"))

@@ -425,8 +425,6 @@ def run_pipeline(
                 "pairs_per_hit": pairs_per_hit,
                 "ranking": ranking,
                 "max_refinement_pairs": None,
-                "refine_engine": "fast",
-                "pivot_engine": "fast",
                 "pipeline": True,
                 "pipeline_workers": workers,
                 "pruning_shards": num_shards,

@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.pc_pivot import pc_pivot
+from repro.core.pc_refine import pc_refine
+from repro.core.pivot import crowd_pivot
+from repro.core.refine import crowd_refine
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
+from repro.crowd.stats import CrowdStats
 from repro.experiments.runner import Instance, prepare_instance
 from repro.pruning.candidate import CandidateSet
+from repro.similarity.composite import SimilarityFunction
+from repro.similarity.jaccard import token_jaccard
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +47,45 @@ def make_candidates(scores) -> CandidateSet:
     return CandidateSet(pairs=pairs, machine_scores=machine, threshold=0.3)
 
 
+def reference_similarity(similarity=None) -> SimilarityFunction:
+    """``similarity`` (default: word-token Jaccard) stripped to its text
+    metric: no set metadata, so pruning takes the reference blocking +
+    score loop — the oracle the prefix join is checked against."""
+    if similarity is None:
+        return SimilarityFunction("jaccard", token_jaccard)
+    return SimilarityFunction(similarity.name, similarity.text_similarity)
+
+
 def scripted_oracle(confidences, num_workers: int = 1,
                     default=None) -> CrowdOracle:
     """An oracle over hand-written crowd confidences."""
     return CrowdOracle(
         ScriptedAnswers(confidences, num_workers=num_workers, default=default)
     )
+
+
+def composed_acd(record_ids, candidates, answers, seed, parallel=True,
+                 generate=None, refine=None):
+    """``run_acd``'s unsharded path composed phase by phase, with either
+    phase function replaceable (e.g. by its reference oracle).
+
+    ``generate`` / ``refine`` default to the production functions of the
+    chosen mode (PC-Pivot / PC-Refine, or Crowd-Pivot / Crowd-Refine with
+    ``parallel=False``).  Returns ``(clustering, stats)``.
+    """
+    ids = list(record_ids)
+    stats = CrowdStats(pairs_per_hit=20, num_workers=answers.num_workers)
+    oracle = CrowdOracle(answers, stats=stats)
+    if parallel:
+        clustering = (generate or pc_pivot)(ids, candidates, oracle,
+                                            seed=seed)
+        clustering = (refine or pc_refine)(clustering, candidates, oracle,
+                                           num_records=len(ids))
+    else:
+        clustering = (generate or crowd_pivot)(ids, candidates, oracle,
+                                               seed=seed)
+        clustering = (refine or crowd_refine)(clustering, candidates, oracle)
+    return clustering, stats
 
 
 # ---------------------------------------------------------------------------

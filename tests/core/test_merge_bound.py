@@ -15,21 +15,23 @@ import pytest
 from repro.core.clustering import Clustering
 from repro.core.evaluation_cache import EvaluationCache
 from repro.core.operations import Merge, OperationEvaluator
-from repro.core.pc_refine import PCRefineDiagnostics, pc_refine
+from repro.core.pc_refine import PCRefineDiagnostics
 from repro.core.refine import (
-    REFINE_ENGINES,
     OperationCache,
     _operations_touching,
     apply_free_operations,
     build_estimator,
-    crowd_refine,
     merge_is_hopeless,
 )
 from repro.crowd.cache import ScriptedAnswers
 from repro.crowd.oracle import CrowdOracle
 from repro.obs import ObsContext
 from tests.conftest import make_candidates
-from tests.core.test_refine_engines import _collected_events
+from tests.core.test_refine_engines import (
+    CROWD_REFINE,
+    PC_REFINE,
+    _collected_events,
+)
 
 
 def bound_state(seed):
@@ -130,14 +132,13 @@ def test_rejected_merges_are_provably_negative():
 def test_pc_refine_engines_agree_where_the_bound_fires(seed):
     clustering, candidates, fresh_oracle = bound_state(seed)
     outcomes = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in PC_REFINE.items():
         oracle = fresh_oracle()
         diagnostics = PCRefineDiagnostics()
         obs = ObsContext()
         with obs.span("refinement"):
-            refined = pc_refine(clustering.copy(), candidates, oracle,
-                                diagnostics=diagnostics, obs=obs,
-                                engine=engine)
+            refined = run(clustering.copy(), candidates, oracle,
+                          diagnostics=diagnostics, obs=obs)
         refined.check_invariants()
         outcomes[engine] = (
             refined.to_state(),
@@ -156,12 +157,11 @@ def test_pc_refine_engines_agree_where_the_bound_fires(seed):
 def test_crowd_refine_engines_agree_where_the_bound_fires(seed):
     clustering, candidates, fresh_oracle = bound_state(seed)
     outcomes = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in CROWD_REFINE.items():
         oracle = fresh_oracle()
         obs = ObsContext()
         with obs.span("refinement"):
-            refined = crowd_refine(clustering.copy(), candidates, oracle,
-                                   obs=obs, engine=engine)
+            refined = run(clustering.copy(), candidates, oracle, obs=obs)
         refined.check_invariants()
         outcomes[engine] = (
             refined.as_sets(),
@@ -206,11 +206,10 @@ def test_answered_pruned_pairs_switch_the_bound_off():
 def test_engines_agree_when_pruned_pairs_are_answered():
     clustering, candidates, _ = _answered_pruned_state()
     outcomes = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in PC_REFINE.items():
         _, _, oracle = _answered_pruned_state()
         oracle.ask_batch([(0, 2), (0, 3), (1, 3), (1, 2)])
-        refined = pc_refine(clustering.copy(), candidates, oracle,
-                            engine=engine)
+        refined = run(clustering.copy(), candidates, oracle)
         outcomes[engine] = refined.as_sets()
     assert outcomes["fast"] == outcomes["reference"]
     assert outcomes["fast"] == [frozenset({0, 1, 2, 3})]

@@ -1,8 +1,8 @@
 """Fast-vs-reference pivot engine equivalence.
 
-The incremental engine (LiveVertexOrder + fused early-exiting Equation-4
+The production loops (LiveVertexOrder + fused early-exiting Equation-4
 scan + eager graph cleanup) must be indistinguishable from the reference
-per-round re-derivation engine: identical clusterings, identical crowd
+oracles' per-round re-derivation: identical clusterings, identical crowd
 batch sequences, identical diagnostics, and identical observability event
 streams — under clean and faulty crowds alike."""
 
@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from repro.cli import build_parser, main
 from repro.core.acd import run_acd
 from repro.core.partial_pivot import partial_pivot, waste_estimates
-from repro.core.pc_pivot import PCPivotDiagnostics, choose_k, pc_pivot
-from repro.core.permutation import Permutation
-from repro.core.pivot import crowd_pivot
-from repro.core.pivot_engine import (
-    PIVOT_ENGINES,
-    LiveVertexOrder,
-    choose_pivots,
+from repro.core.pc_pivot import (
+    PCPivotDiagnostics,
+    _pc_pivot_reference,
+    choose_k,
+    pc_pivot,
 )
+from repro.core.permutation import Permutation
+from repro.core.pivot import _crowd_pivot_reference, crowd_pivot
+from repro.core.pivot_engine import LiveVertexOrder, choose_pivots
 from repro.crowd.cache import FallbackAnswers, ScriptedAnswers
 from repro.crowd.faults import FaultModel
 from repro.crowd.oracle import CrowdOracle
@@ -34,10 +35,14 @@ from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
 from repro.pruning.graph import CandidateGraph
 from repro.similarity.composite import jaccard_similarity_function
-from tests.conftest import FIG2_IDS, fig2_candidates, fig2_oracle, \
-    make_candidates
+from tests.conftest import FIG2_IDS, composed_acd, fig2_candidates, \
+    fig2_oracle, make_candidates
 
 EPSILONS = (0.0, 0.05, 0.1, 0.3, 1.0)
+
+#: The production loops and their reference oracles, by engine name.
+PC_PIVOT = {"fast": pc_pivot, "reference": _pc_pivot_reference}
+CROWD_PIVOT = {"fast": crowd_pivot, "reference": _crowd_pivot_reference}
 
 
 class RecordingOracle(CrowdOracle):
@@ -106,12 +111,11 @@ def _collected_events(obs):
 def test_pc_pivot_engines_agree(seed, epsilon):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     outcomes = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in PC_PIVOT.items():
         oracle = fresh_oracle()
         diagnostics = PCPivotDiagnostics()
-        clustering = pc_pivot(ids, candidates, oracle, epsilon=epsilon,
-                              seed=seed, diagnostics=diagnostics,
-                              engine=engine)
+        clustering = run(ids, candidates, oracle, epsilon=epsilon,
+                         seed=seed, diagnostics=diagnostics)
         clustering.check_invariants()
         outcomes[engine] = (
             clustering.as_sets(),
@@ -130,10 +134,9 @@ def test_pc_pivot_engines_agree(seed, epsilon):
 def test_crowd_pivot_engines_agree(seed):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     outcomes = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in CROWD_PIVOT.items():
         oracle = fresh_oracle()
-        clustering = crowd_pivot(ids, candidates, oracle, seed=seed,
-                                 engine=engine)
+        clustering = run(ids, candidates, oracle, seed=seed)
         clustering.check_invariants()
         outcomes[engine] = (clustering.as_sets(), oracle.stats.pairs_issued,
                             oracle.stats.iterations, oracle.batches)
@@ -157,11 +160,10 @@ def test_choose_pivots_matches_reference(seed, epsilon):
 def test_pc_pivot_event_streams_identical(seed):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     streams = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in PC_PIVOT.items():
         obs = ObsContext()
         with obs.span("generation"):
-            pc_pivot(ids, candidates, fresh_oracle(), seed=seed, obs=obs,
-                     engine=engine)
+            run(ids, candidates, fresh_oracle(), seed=seed, obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
@@ -170,27 +172,27 @@ def test_pc_pivot_event_streams_identical(seed):
 def test_crowd_pivot_event_streams_identical(seed):
     ids, candidates, fresh_oracle = random_pivot_state(seed)
     streams = {}
-    for engine in PIVOT_ENGINES:
+    for engine, run in CROWD_PIVOT.items():
         obs = ObsContext()
         with obs.span("generation"):
-            crowd_pivot(ids, candidates, fresh_oracle(), seed=seed, obs=obs,
-                        engine=engine)
+            run(ids, candidates, fresh_oracle(), seed=seed, obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
 
 @pytest.mark.parametrize("parallel", (True, False))
 def test_run_acd_engines_agree(tiny_paper, parallel):
-    results = {
-        engine: run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                        tiny_paper.answers, seed=2, parallel=parallel,
-                        pivot_engine=engine)
-        for engine in PIVOT_ENGINES
-    }
-    fast, reference = results["fast"], results["reference"]
-    assert fast.clustering.as_sets() == reference.clustering.as_sets()
-    assert fast.stats.pairs_issued == reference.stats.pairs_issued
-    assert fast.stats.iterations == reference.stats.iterations
+    """run_acd equals the same pipeline with generation swapped for the
+    reference oracle."""
+    fast = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                   tiny_paper.answers, seed=2, parallel=parallel)
+    oracles = PC_PIVOT if parallel else CROWD_PIVOT
+    clustering, stats = composed_acd(
+        tiny_paper.record_ids, tiny_paper.candidates, tiny_paper.answers,
+        seed=2, parallel=parallel, generate=oracles["reference"])
+    assert fast.clustering.as_sets() == clustering.as_sets()
+    assert fast.stats.pairs_issued == stats.pairs_issued
+    assert fast.stats.iterations == stats.iterations
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -205,23 +207,24 @@ def test_engines_agree_under_faulty_crowd(seed):
     )
     fault_model = FaultModel(abandonment_probability=0.15, spam_fraction=0.2,
                              timeout_seconds=240.0)
-    outcomes = {}
-    for engine in PIVOT_ENGINES:
-        answers = _platform_answers("restaurant", dataset, candidates, seed,
-                                    fault_model)
-        result = run_acd(dataset.record_ids, candidates, answers, seed=seed,
-                         pivot_engine=engine)
-        outcomes[engine] = (result.clustering.as_sets(),
-                            result.stats.pairs_issued)
-    assert outcomes["fast"] == outcomes["reference"]
+    result = run_acd(dataset.record_ids, candidates,
+                     _platform_answers("restaurant", dataset, candidates,
+                                       seed, fault_model), seed=seed)
+    clustering, stats = composed_acd(
+        dataset.record_ids, candidates,
+        _platform_answers("restaurant", dataset, candidates, seed,
+                          fault_model),
+        seed=seed, generate=_pc_pivot_reference)
+    assert (result.clustering.as_sets(), result.stats.pairs_issued) == (
+        clustering.as_sets(), stats.pairs_issued)
 
 
 def test_unknown_engine_rejected():
+    """One production engine: no entry point takes an engine selector."""
     ids, candidates, fresh_oracle = random_pivot_state(0)
-    with pytest.raises(ValueError, match="engine"):
-        pc_pivot(ids, candidates, fresh_oracle(), engine="bogus")
-    with pytest.raises(ValueError, match="engine"):
-        crowd_pivot(ids, candidates, fresh_oracle(), engine="bogus")
+    for run in (pc_pivot, crowd_pivot):
+        with pytest.raises(TypeError, match="engine"):
+            run(ids, candidates, fresh_oracle(), engine="reference")
 
 
 def test_partial_pivot_rejects_half_supplied_precomputation():
@@ -260,14 +263,15 @@ def test_epsilon_zero_contract():
 def _fig2_warning_events(epsilon, engine="fast"):
     obs = ObsContext()
     with obs.span("generation"):
-        pc_pivot(sorted(FIG2_IDS.values()), fig2_candidates(), fig2_oracle(),
-                 epsilon=epsilon, permutation=Permutation(FIG2_BINDING_ORDER),
-                 obs=obs, engine=engine)
+        PC_PIVOT[engine](sorted(FIG2_IDS.values()), fig2_candidates(),
+                         fig2_oracle(), epsilon=epsilon,
+                         permutation=Permutation(FIG2_BINDING_ORDER),
+                         obs=obs)
     return [attrs for name, attrs in _collected_events(obs)
             if name == "pivot.waste_bound_binding"]
 
 
-@pytest.mark.parametrize("engine", PIVOT_ENGINES)
+@pytest.mark.parametrize("engine", PC_PIVOT)
 def test_waste_bound_binding_warning_emitted(engine):
     """A round forced down to k=1 under a positive ε warns that the waste
     bound is binding (the round runs sequentially)."""
@@ -443,12 +447,6 @@ def test_run_acd_sharded_agrees(tiny_paper):
 
 
 class TestShardedValidation:
-    def test_reference_engine_rejected(self):
-        ids, candidates, fresh_oracle = random_pivot_state(1)
-        with pytest.raises(ValueError, match="fast"):
-            pc_pivot(ids, candidates, fresh_oracle(), shards=2,
-                     engine="reference")
-
     def test_negative_shards_rejected(self):
         ids, candidates, fresh_oracle = random_pivot_state(1)
         with pytest.raises(ValueError, match="shards"):
@@ -482,21 +480,14 @@ class TestShardedValidation:
 
 class TestCLI:
     def test_pivot_engine_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "restaurant", "--pivot-engine", "reference"]
-        )
-        assert args.pivot_engine == "reference"
-        assert (build_parser().parse_args(["run", "restaurant"])
-                .pivot_engine == "fast")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "restaurant", "--pivot-engine", "nope"]
-            )
-
-    def test_run_with_reference_engine(self, capsys):
-        assert main(["run", "restaurant", "--scale", "0.05",
-                     "--pivot-engine", "reference"]) == 0
-        assert "F1" in capsys.readouterr().out
+        """PC-Pivot has one production engine: the parser refuses a selector."""
+        args = build_parser().parse_args(["run", "restaurant"])
+        assert not hasattr(args, "pivot_engine")
+        for engine in ("reference", "fast", "nope"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["run", "restaurant", "--pivot-engine", engine]
+                )
 
     def test_pivot_shard_flags_parsed(self):
         args = build_parser().parse_args(

@@ -1,7 +1,7 @@
 """Fast-vs-reference refinement engine equivalence.
 
-The incremental engine (EvaluationCache + lazy ranking) must be
-indistinguishable from the reference full-re-evaluation engine: identical
+The production loops (EvaluationCache + lazy ranking) must be
+indistinguishable from the full-re-evaluation reference oracles: identical
 clusterings, identical crowd traffic, identical diagnostics, and identical
 observability event streams — under clean and faulty crowds alike."""
 
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser
 from repro.core.acd import run_acd
 from repro.core.clustering import Clustering
 from repro.core.evaluation_cache import EvaluationCache
@@ -20,11 +20,12 @@ from repro.core.pc_refine import (
     PCRefineDiagnostics,
     _pack_independent_operations,
     _pack_independent_operations_fast,
+    _pc_refine_reference,
     pc_refine,
 )
 from repro.core.refine import (
-    REFINE_ENGINES,
     OperationCache,
+    _crowd_refine_reference,
     build_estimator,
     crowd_refine,
 )
@@ -37,7 +38,11 @@ from repro.experiments.configs import PRUNING_THRESHOLD
 from repro.obs import ObsContext
 from repro.pruning.candidate import build_candidate_set
 from repro.similarity.composite import jaccard_similarity_function
-from tests.conftest import make_candidates
+from tests.conftest import composed_acd, make_candidates
+
+#: The production loops and their reference oracles, by engine name.
+PC_REFINE = {"fast": pc_refine, "reference": _pc_refine_reference}
+CROWD_REFINE = {"fast": crowd_refine, "reference": _crowd_refine_reference}
 
 
 def random_refine_state(seed):
@@ -95,10 +100,9 @@ def _collected_events(obs):
 def test_crowd_refine_engines_agree(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     outcomes = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in CROWD_REFINE.items():
         oracle = fresh_oracle()
-        refined = crowd_refine(clustering.copy(), candidates, oracle,
-                               engine=engine)
+        refined = run(clustering.copy(), candidates, oracle)
         refined.check_invariants()
         outcomes[engine] = (refined.as_sets(), oracle.stats.pairs_issued,
                             oracle.stats.iterations)
@@ -110,11 +114,11 @@ def test_crowd_refine_engines_agree(seed):
 def test_pc_refine_engines_agree(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     outcomes = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in PC_REFINE.items():
         oracle = fresh_oracle()
         diagnostics = PCRefineDiagnostics()
-        refined = pc_refine(clustering.copy(), candidates, oracle,
-                            diagnostics=diagnostics, engine=engine)
+        refined = run(clustering.copy(), candidates, oracle,
+                      diagnostics=diagnostics)
         refined.check_invariants()
         outcomes[engine] = (
             refined.as_sets(),
@@ -131,11 +135,10 @@ def test_pc_refine_engines_agree(seed):
 def test_crowd_refine_event_streams_identical(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     streams = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in CROWD_REFINE.items():
         obs = ObsContext()
         with obs.span("refinement"):
-            crowd_refine(clustering.copy(), candidates, fresh_oracle(),
-                         obs=obs, engine=engine)
+            run(clustering.copy(), candidates, fresh_oracle(), obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
@@ -144,27 +147,27 @@ def test_crowd_refine_event_streams_identical(seed):
 def test_pc_refine_event_streams_identical(seed):
     clustering, candidates, fresh_oracle = random_refine_state(seed)
     streams = {}
-    for engine in REFINE_ENGINES:
+    for engine, run in PC_REFINE.items():
         obs = ObsContext()
         with obs.span("refinement"):
-            pc_refine(clustering.copy(), candidates, fresh_oracle(),
-                      obs=obs, engine=engine)
+            run(clustering.copy(), candidates, fresh_oracle(), obs=obs)
         streams[engine] = _collected_events(obs)
     assert streams["fast"] == streams["reference"]
 
 
 @pytest.mark.parametrize("parallel", (True, False))
 def test_run_acd_engines_agree(tiny_paper, parallel):
-    results = {
-        engine: run_acd(tiny_paper.record_ids, tiny_paper.candidates,
-                        tiny_paper.answers, seed=2, parallel=parallel,
-                        refine_engine=engine)
-        for engine in REFINE_ENGINES
-    }
-    fast, reference = results["fast"], results["reference"]
-    assert fast.clustering.as_sets() == reference.clustering.as_sets()
-    assert fast.stats.pairs_issued == reference.stats.pairs_issued
-    assert fast.stats.iterations == reference.stats.iterations
+    """run_acd equals the same pipeline with refinement swapped for the
+    reference oracle."""
+    fast = run_acd(tiny_paper.record_ids, tiny_paper.candidates,
+                   tiny_paper.answers, seed=2, parallel=parallel)
+    oracles = PC_REFINE if parallel else CROWD_REFINE
+    clustering, stats = composed_acd(
+        tiny_paper.record_ids, tiny_paper.candidates, tiny_paper.answers,
+        seed=2, parallel=parallel, refine=oracles["reference"])
+    assert fast.clustering.as_sets() == clustering.as_sets()
+    assert fast.stats.pairs_issued == stats.pairs_issued
+    assert fast.stats.iterations == stats.iterations
 
 
 @pytest.mark.parametrize("seed", (0, 1))
@@ -179,15 +182,16 @@ def test_engines_agree_under_faulty_crowd(seed):
     )
     fault_model = FaultModel(abandonment_probability=0.15, spam_fraction=0.2,
                              timeout_seconds=240.0)
-    outcomes = {}
-    for engine in REFINE_ENGINES:
-        answers = _platform_answers("restaurant", dataset, candidates, seed,
-                                    fault_model)
-        result = run_acd(dataset.record_ids, candidates, answers, seed=seed,
-                         refine_engine=engine)
-        outcomes[engine] = (result.clustering.as_sets(),
-                            result.stats.pairs_issued)
-    assert outcomes["fast"] == outcomes["reference"]
+    result = run_acd(dataset.record_ids, candidates,
+                     _platform_answers("restaurant", dataset, candidates,
+                                       seed, fault_model), seed=seed)
+    clustering, stats = composed_acd(
+        dataset.record_ids, candidates,
+        _platform_answers("restaurant", dataset, candidates, seed,
+                          fault_model),
+        seed=seed, refine=_pc_refine_reference)
+    assert (result.clustering.as_sets(), result.stats.pairs_issued) == (
+        clustering.as_sets(), stats.pairs_issued)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -220,29 +224,21 @@ def test_fast_packer_matches_reference(seed):
 
 
 def test_unknown_engine_rejected():
+    """One production engine: no entry point takes an engine selector."""
     clustering, candidates, fresh_oracle = random_refine_state(0)
-    with pytest.raises(ValueError, match="engine"):
-        crowd_refine(clustering.copy(), candidates, fresh_oracle(),
-                     engine="bogus")
-    with pytest.raises(ValueError, match="engine"):
-        pc_refine(clustering.copy(), candidates, fresh_oracle(),
-                  engine="bogus")
+    for run in (pc_refine, crowd_refine):
+        with pytest.raises(TypeError, match="engine"):
+            run(clustering.copy(), candidates, fresh_oracle(),
+                engine="reference")
 
 
 class TestCLI:
     def test_refine_engine_flag_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "restaurant", "--refine-engine", "reference"]
-        )
-        assert args.refine_engine == "reference"
-        assert (build_parser().parse_args(["run", "restaurant"])
-                .refine_engine == "fast")
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "restaurant", "--refine-engine", "nope"]
-            )
-
-    def test_run_with_reference_engine(self, capsys):
-        assert main(["run", "restaurant", "--scale", "0.05",
-                     "--refine-engine", "reference"]) == 0
-        assert "F1" in capsys.readouterr().out
+        """PC-Refine has one production engine: the parser refuses a selector."""
+        args = build_parser().parse_args(["run", "restaurant"])
+        assert not hasattr(args, "refine_engine")
+        for engine in ("reference", "fast", "nope"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["run", "restaurant", "--refine-engine", engine]
+                )

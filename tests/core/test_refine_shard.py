@@ -139,13 +139,6 @@ class TestValidation:
             pc_refine(clustering, candidates, oracle,
                       num_records=len(instance.record_ids), processes=2)
 
-    def test_reference_engine_rejected(self):
-        clustering, candidates, oracle, instance = self._setup()
-        with pytest.raises(ValueError, match="'fast' engine"):
-            pc_refine(clustering, candidates, oracle,
-                      num_records=len(instance.record_ids), shards=2,
-                      engine="reference")
-
     def test_max_refinement_pairs_rejected(self):
         clustering, candidates, oracle, instance = self._setup()
         with pytest.raises(ValueError, match="max_refinement_pairs"):
@@ -189,19 +182,32 @@ class TestRunAcdWiring:
                     instance.answers, seed=7, parallel=False,
                     refine_shards=2)
 
-    def test_refine_shards_reject_reference_engine(self):
-        instance = _instance(scale=0.05)
-        with pytest.raises(ValueError, match="'fast' engine"):
-            run_acd(instance.record_ids, instance.candidates,
-                    instance.answers, seed=7, parallel=True,
-                    refine_shards=2, refine_engine="reference")
-
     def test_refine_shards_reject_pair_cap(self):
         instance = _instance(scale=0.05)
         with pytest.raises(ValueError, match="max_refinement_pairs"):
             run_acd(instance.record_ids, instance.candidates,
                     instance.answers, seed=7, parallel=True,
                     refine_shards=2, max_refinement_pairs=10)
+
+    @pytest.mark.parametrize("knob, config", [
+        ("refine_shards", dict(max_refinement_pairs=50)),
+        ("pivot_shards", dict(parallel=False)),
+        ("refine_shards", dict(parallel=False)),
+    ])
+    def test_auto_shards_fall_back_where_explicit_counts_fail(self, knob,
+                                                              config):
+        """``"auto"`` is not an explicit shard request: where an explicit
+        count fails fast, run_acd runs the classic loop, as the phase
+        functions do."""
+        def acd(shards):
+            instance = _instance("restaurant", scale=0.1)
+            return run_acd(instance.record_ids, instance.candidates,
+                           instance.answers, seed=7, **{knob: shards},
+                           **config)
+
+        auto, classic = acd("auto"), acd(0)
+        assert auto.clustering.to_state() == classic.clustering.to_state()
+        assert auto.stats.snapshot() == classic.stats.snapshot()
 
 
 class TestRefinementCheckpoint:

@@ -82,15 +82,16 @@ class TestPruningInstrumentation:
         from repro.datasets.schema import Record
         from repro.pruning.candidate import build_candidate_set
         from repro.similarity.composite import jaccard_similarity_function
+        from tests.conftest import reference_similarity
 
         records = [Record(record_id=i, text=t)
                    for i, t in enumerate(["a b c", "a b d", "x y"])]
-        for engine in ("reference", "prefix"):
+        for similarity in (reference_similarity(),
+                           jaccard_similarity_function()):
             timings = StageTimings()
-            build_candidate_set(records, jaccard_similarity_function(),
-                                engine=engine, timings=timings)
+            build_candidate_set(records, similarity, timings=timings)
             stages = timings.as_dict()
-            assert "blocking" in stages and "scoring" in stages, engine
+            assert "blocking" in stages and "scoring" in stages, similarity
 
 
 class TestMeters:

@@ -1,5 +1,10 @@
 """Equivalence of the fast-path pruning engines with the reference loop.
 
+The prefix join runs whenever the similarity carries set metadata; the
+reference loop is reached by stripping that metadata
+(:func:`tests.conftest.reference_similarity`), which keeps the metric's
+scores and changes only the path.
+
 The prefix-filtered join and the parallel pair scorer are optimizations,
 not approximations: for every supported configuration they must produce a
 byte-identical :class:`CandidateSet` (same pairs, same float scores) as the
@@ -17,15 +22,18 @@ from repro.datasets.schema import Record
 from repro.pruning.candidate import build_candidate_set
 from repro.pruning.parallel import score_pairs_parallel
 from repro.pruning.prefix_join import prefix_length
+from repro.obs import ObsContext
 from repro.similarity.composite import (
     SimilarityFunction,
     cosine_set_similarity_function,
     dice_similarity_function,
     jaccard_similarity_function,
+    jaro_winkler_similarity_function,
     overlap_similarity_function,
     qgram_similarity_function,
 )
 from repro.similarity.jaccard import token_jaccard
+from tests.conftest import reference_similarity
 
 DATASETS = ("paper", "restaurant", "product")
 
@@ -41,12 +49,6 @@ def recs(*texts):
     return [Record(record_id=i, text=t) for i, t in enumerate(texts)]
 
 
-def reference_similarity():
-    """The seed's pruning metric: plain text Jaccard, no set metadata —
-    guaranteed to take the reference engine's blocking + score loop."""
-    return SimilarityFunction("jaccard", token_jaccard)
-
-
 def assert_identical(left, right):
     assert left.pairs == right.pairs
     assert left.machine_scores == right.machine_scores
@@ -60,17 +62,16 @@ class TestPrefixJoinOnDatasets:
     def test_identical_to_seed_reference(self, dataset_name):
         records = generate(dataset_name, scale=0.15, seed=3).records
         reference = build_candidate_set(records, reference_similarity(),
-                                        threshold=0.3, engine="reference")
+                                        threshold=0.3)
         joined = build_candidate_set(records, jaccard_similarity_function(),
-                                     threshold=0.3, engine="prefix")
+                                     threshold=0.3)
         assert_identical(reference, joined)
 
     @pytest.mark.parametrize("dataset_name", DATASETS)
     def test_auto_selects_join_and_matches(self, dataset_name):
         records = generate(dataset_name, scale=0.1, seed=5).records
         auto = build_candidate_set(records, jaccard_similarity_function())
-        reference = build_candidate_set(records, reference_similarity(),
-                                        engine="reference")
+        reference = build_candidate_set(records, reference_similarity())
         assert_identical(reference, auto)
 
 
@@ -92,12 +93,12 @@ class TestPrefixJoinRandomized:
         records = recs(*texts)
         factory = SET_FACTORIES[factory_index]
         reference = build_candidate_set(
-            records, factory(), threshold=threshold,
-            use_token_blocking=blocking, engine="reference",
+            records, reference_similarity(factory()), threshold=threshold,
+            use_token_blocking=blocking,
         )
         joined = build_candidate_set(
             records, factory(), threshold=threshold,
-            use_token_blocking=blocking, engine="prefix",
+            use_token_blocking=blocking,
         )
         assert_identical(reference, joined)
 
@@ -107,12 +108,12 @@ class TestPrefixJoinRandomized:
     def test_qgram_join_matches_all_pairs_reference(self, texts, threshold):
         records = recs(*texts)
         reference = build_candidate_set(
-            records, qgram_similarity_function(), threshold=threshold,
-            use_token_blocking=False, engine="reference",
+            records, reference_similarity(qgram_similarity_function()),
+            threshold=threshold, use_token_blocking=False,
         )
         joined = build_candidate_set(
             records, qgram_similarity_function(), threshold=threshold,
-            use_token_blocking=False, engine="prefix",
+            use_token_blocking=False,
         )
         assert_identical(reference, joined)
 
@@ -122,70 +123,72 @@ class TestThresholdEdgeCases:
         # {a,b} vs {b,c}: jaccard exactly 1/3 — must be pruned at τ=1/3 by
         # both engines (the paper's condition is strict: f > τ).
         records = recs("a b", "b c")
-        for engine in ("reference", "prefix"):
-            result = build_candidate_set(
-                records, jaccard_similarity_function(),
-                threshold=1 / 3, engine=engine,
-            )
-            assert (0, 1) not in result, engine
+        for similarity in (reference_similarity(),
+                           jaccard_similarity_function()):
+            result = build_candidate_set(records, similarity,
+                                         threshold=1 / 3)
+            assert (0, 1) not in result, similarity
 
     def test_empty_records_with_blocking(self):
         # Token blocking never pairs empty-token records; the join must not
         # re-introduce them.
         records = recs("", "", "a b")
-        for engine in ("reference", "prefix"):
-            result = build_candidate_set(
-                records, jaccard_similarity_function(), engine=engine,
-            )
-            assert (0, 1) not in result, engine
+        for similarity in (reference_similarity(),
+                           jaccard_similarity_function()):
+            result = build_candidate_set(records, similarity)
+            assert (0, 1) not in result, similarity
 
     def test_empty_records_without_blocking(self):
         # All-pairs scoring gives two empty records jaccard 1.0 > τ; the
         # join must reproduce that too.
         records = recs("", "", "a b")
         reference = build_candidate_set(
-            records, jaccard_similarity_function(),
-            use_token_blocking=False, engine="reference",
+            records, reference_similarity(), use_token_blocking=False,
         )
         joined = build_candidate_set(
-            records, jaccard_similarity_function(),
-            use_token_blocking=False, engine="prefix",
+            records, jaccard_similarity_function(), use_token_blocking=False,
         )
         assert (0, 1) in reference and reference.machine_scores[(0, 1)] == 1.0
         assert_identical(reference, joined)
 
     def test_threshold_zero_keeps_any_overlap(self):
         records = recs("a b c d e f g", "g z")
-        reference = build_candidate_set(records, jaccard_similarity_function(),
-                                        threshold=0.0, engine="reference")
+        reference = build_candidate_set(records, reference_similarity(),
+                                        threshold=0.0)
         joined = build_candidate_set(records, jaccard_similarity_function(),
-                                     threshold=0.0, engine="prefix")
+                                     threshold=0.0)
         assert (0, 1) in joined
         assert_identical(reference, joined)
 
 
 class TestEngineSelection:
-    def test_prefix_engine_rejects_non_set_metric(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "b"), reference_similarity(),
-                                engine="prefix")
-
-    def test_prefix_engine_rejects_external_pairs(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "a"), jaccard_similarity_function(),
-                                candidate_pairs=[(0, 1)], engine="prefix")
-
-    def test_prefix_engine_rejects_qgram_under_token_blocking(self):
+    @pytest.mark.parametrize("similarity, kwargs, engine", [
+        pytest.param(jaccard_similarity_function, {}, "prefix",
+                     id="set-metric"),
+        pytest.param(jaro_winkler_similarity_function, {}, "reference",
+                     id="non-set-metric"),
+        pytest.param(jaccard_similarity_function,
+                     {"candidate_pairs": [(0, 1)]}, "reference",
+                     id="external-pairs"),
         # Token blocking's word-token domain doesn't match q-gram sets; the
-        # reference path (blocking off or on) is the only faithful one.
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("ab", "cd"), qgram_similarity_function(),
-                                use_token_blocking=True, engine="prefix")
+        # reference loop is the only faithful path under blocking.
+        pytest.param(qgram_similarity_function,
+                     {"use_token_blocking": True}, "reference",
+                     id="qgram-under-token-blocking"),
+    ])
+    def test_engine_follows_the_input(self, similarity, kwargs, engine):
+        obs = ObsContext()
+        build_candidate_set(recs("a b", "a c"), similarity(), obs=obs,
+                            **kwargs)
+        (span,) = [root for root in obs.tracer.roots
+                   if root.name == "pruning"]
+        assert span.attrs["engine"] == engine
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
+        """No caller can force the choice: there is no engine selector."""
+        with pytest.raises(TypeError, match="engine"):
             build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                engine="warp")
+                                engine="reference")
 
     def test_auto_falls_back_for_external_pairs(self):
         records = recs("a b", "a b", "a b")
@@ -208,10 +211,9 @@ class TestParallelScorer:
     @pytest.mark.parametrize("dataset_name", DATASETS)
     def test_parallel_matches_serial_on_datasets(self, dataset_name):
         records = generate(dataset_name, scale=0.1, seed=7).records
-        serial = build_candidate_set(records, reference_similarity(),
-                                     engine="reference")
+        serial = build_candidate_set(records, reference_similarity())
         parallel = build_candidate_set(records, reference_similarity(),
-                                       engine="reference", parallel=2)
+                                       parallel=2)
         assert_identical(serial, parallel)
 
     def test_score_pairs_parallel_matches_direct_loop(self):

@@ -29,6 +29,7 @@ from repro.similarity.composite import (
 )
 from repro.similarity.jaccard import token_jaccard
 from repro.similarity.kernels import numpy_available
+from tests.conftest import reference_similarity
 
 shard = pytest.importorskip("repro.pruning.shard")
 pytestmark = pytest.mark.skipif(
@@ -166,14 +167,13 @@ class TestBuildCandidateSetRouting:
     def test_shards_and_backends_match_reference(self):
         records = generate("restaurant", scale=0.1, seed=7).records
         reference = build_candidate_set(
-            records, jaccard_similarity_function(),
-            threshold=0.3, engine="reference",
+            records, reference_similarity(), threshold=0.3,
         )
         for kwargs in (
-            dict(engine="prefix", shards=3),
-            dict(engine="prefix", kernel_backend="vectorized"),
-            dict(engine="prefix", kernel_backend="scalar", shards=2),
-            dict(shards=4),  # auto engine
+            dict(shards=3),
+            dict(kernel_backend="vectorized"),
+            dict(kernel_backend="scalar", shards=2),
+            dict(shards=4),
         ):
             result = build_candidate_set(
                 records, jaccard_similarity_function(),
@@ -185,12 +185,12 @@ class TestBuildCandidateSetRouting:
     def test_qgram_sharded_matches_reference(self):
         records = generate("restaurant", scale=0.08, seed=2).records
         reference = build_candidate_set(
-            records, qgram_similarity_function(), threshold=0.2,
-            use_token_blocking=False, engine="reference",
+            records, reference_similarity(qgram_similarity_function()),
+            threshold=0.2, use_token_blocking=False,
         )
         sharded = build_candidate_set(
             records, qgram_similarity_function(), threshold=0.2,
-            use_token_blocking=False, engine="prefix", shards=3,
+            use_token_blocking=False, shards=3,
         )
         assert sharded.pairs == reference.pairs
         assert sharded.machine_scores == reference.machine_scores
@@ -201,14 +201,13 @@ class TestBuildCandidateSetRouting:
                                 shards=-1)
 
     def test_reference_engine_rejects_shards(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                engine="reference", shards=2)
+        with pytest.raises(ValueError, match="reference loop"):
+            build_candidate_set(recs("a", "b"), reference_similarity(),
+                                shards=2)
 
     def test_reference_engine_rejects_vectorized_backend(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                engine="reference",
+        with pytest.raises(ValueError, match="reference loop"):
+            build_candidate_set(recs("a", "b"), reference_similarity(),
                                 kernel_backend="vectorized")
 
     def test_unknown_backend_rejected(self):

@@ -40,8 +40,7 @@ class TestShardedKillAtScale:
         def prune(fault_plan=None, obs=None):
             return build_candidate_set(
                 dataset.records, jaccard_similarity_function(),
-                threshold=PRUNING_THRESHOLD, engine="prefix",
-                shards=8, parallel=4,
+                threshold=PRUNING_THRESHOLD, shards=8, parallel=4,
                 supervisor_policy=SupervisorPolicy(backoff_base_s=0.005),
                 fault_plan=fault_plan, obs=obs,
             )

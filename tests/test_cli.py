@@ -35,6 +35,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "product", "--method", "Nope"])
 
+    @pytest.mark.parametrize("argv", [
+        ["datasets"], ["compare", "paper"], ["sweep-epsilon", "paper"],
+        ["sweep-threshold", "paper"], ["run", "paper"],
+        ["report", "paper"], ["replicate"],
+    ], ids=lambda argv: argv[0])
+    def test_no_engine_selectors(self, argv):
+        """Each phase has one production engine; no flag selects another."""
+        for flag in ("--engine", "--pivot-engine", "--refine-engine"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + [flag, "reference"])
+
 
 class TestCommands:
     def test_datasets_command(self, capsys):
