@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-quick bench-smoke bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-runtime trace-smoke examples lint clean
+.PHONY: install test bench bench-quick bench-smoke bench-pruning bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-runtime trace-smoke examples lint clean
 
 install:
 	python setup.py develop
@@ -14,9 +14,14 @@ bench-quick:
 
 # Tiny-scale perf harness: regenerates BENCH_pruning.json and
 # BENCH_endtoend.json at the repo root (machine-readable stage timings).
-bench-smoke:
-	REPRO_BENCH_SCALE=0.3 python benchmarks/bench_pruning.py
+bench-smoke: bench-pruning
 	REPRO_BENCH_SCALE=0.2 python benchmarks/bench_endtoend.py
+
+# Pruning benchmark: the prefix join vs the reference scoring loop on
+# every dataset, exiting 1 if they ever diverge.  Regenerates
+# BENCH_pruning.json at the repo root.
+bench-pruning:
+	REPRO_BENCH_SCALE=0.3 python benchmarks/bench_pruning.py
 
 # Refinement-engine benchmark: fast (incremental, cached) vs reference
 # (full re-evaluation) PC-Refine on every dataset, asserting identical

@@ -9,10 +9,11 @@ records/sec, pairs/sec, and peak-RSS meters per run.
 
 Pruning variants per tier (each capped by its env knob):
 
-* ``vectorized``  — prefix engine, vectorized kernel, sharded
+* ``vectorized``  — the production prefix engine, sharded
   (:mod:`repro.pruning.shard`); runs at every tier.
-* ``scalar-join`` — prefix engine, scalar kernel (the scalar reference of
-  the kernel registry); capped at ``REPRO_BENCH_SCALAR_CAP``.
+* ``scalar-join`` — the scalar prefix join, called directly (its test
+  oracle, :func:`repro.pruning.prefix_join.prefix_filtered_candidates`);
+  capped at ``REPRO_BENCH_SCALAR_CAP``.
 * ``reference``   — the seed engine (token blocking + per-pair scoring
   loop, the original scalar reference of the pruning phase), reached by
   plain token Jaccard without set metadata; capped at
@@ -105,7 +106,9 @@ from repro.perf.timing import (  # noqa: E402
     write_bench_json,
 )
 from repro.pruning.candidate import build_candidate_set  # noqa: E402
+from repro.pruning.prefix_join import prefix_filtered_candidates  # noqa: E402
 from repro.similarity.composite import (  # noqa: E402
+    SET_METRIC_FUNCTIONS,
     SimilarityFunction,
     jaccard_similarity_function,
 )
@@ -140,21 +143,36 @@ SEED = 1
 OUTPUT = REPO_ROOT / "BENCH_scale.json"
 
 
-def _measure(records, *, kernel_backend: str, shards: int,
-             parallel: int = 0, similarity=None):
+def _measure(records, *, shards: int, parallel: int = 0, similarity=None):
     """One pruning run; returns (candidate_set, timings-with-meters).
     ``similarity`` defaults to the prefix-join-eligible Jaccard."""
     timings = StageTimings()
     candidates = build_candidate_set(
         records, similarity or jaccard_similarity_function(),
-        threshold=PRUNING_THRESHOLD,
-        kernel_backend=kernel_backend, shards=shards, parallel=parallel,
+        threshold=PRUNING_THRESHOLD, shards=shards, parallel=parallel,
         timings=timings,
     )
-    timings.record_throughput("records_per_second", len(records))
-    timings.record_throughput("pairs_per_second", len(candidates))
-    timings.record_peak_rss()
+    _record_meters(timings, len(records), len(candidates))
     return candidates, timings
+
+
+def _measure_scalar_join(records):
+    """One run of the scalar prefix join; returns (pairs, scores, timings)."""
+    similarity = jaccard_similarity_function()
+    timings = StageTimings()
+    pairs, scores = prefix_filtered_candidates(
+        records, set_of=similarity.set_of,
+        set_function=SET_METRIC_FUNCTIONS["jaccard"], metric="jaccard",
+        threshold=PRUNING_THRESHOLD, timings=timings,
+    )
+    _record_meters(timings, len(records), len(pairs))
+    return pairs, scores, timings
+
+
+def _record_meters(timings, records: int, pairs: int) -> None:
+    timings.record_throughput("records_per_second", records)
+    timings.record_throughput("pairs_per_second", pairs)
+    timings.record_peak_rss()
 
 
 def _measure_generation(dataset, candidates, *, shards: int = 0,
@@ -306,8 +324,7 @@ def _refine_stage(label, tier, runs, derived):
     dataset = generate_largescale(scale=tier / BASE_RECORDS, seed=SEED,
                                   confusion=REFINE_CONFUSION)
     candidates, _ = _measure(
-        dataset.records, kernel_backend="vectorized",
-        shards=SHARDS, parallel=PARALLEL,
+        dataset.records, shards=SHARDS, parallel=PARALLEL,
     )
 
     classic, classic_iters, classic_pairs, classic_timings = _measure_refine(
@@ -365,8 +382,7 @@ def main() -> int:
         assert len(dataset.records) == tier
 
         vec, vec_timings = _measure(
-            dataset.records, kernel_backend="vectorized",
-            shards=SHARDS, parallel=PARALLEL,
+            dataset.records, shards=SHARDS, parallel=PARALLEL,
         )
         runs[f"{label}/vectorized"] = run_entry(
             vec_timings, records=tier, pairs=len(vec),
@@ -380,9 +396,7 @@ def main() -> int:
         if tier <= SCALAR_CAP:
             # Unsharded single-shard vectorized run: shard-count invariance
             # at real scale (cheap — same kernel, no partitioning).
-            one, one_timings = _measure(
-                dataset.records, kernel_backend="vectorized", shards=1,
-            )
+            one, one_timings = _measure(dataset.records, shards=1)
             runs[f"{label}/vectorized-1shard"] = run_entry(
                 one_timings, records=tier, pairs=len(one), shards=1,
             )
@@ -390,16 +404,14 @@ def main() -> int:
                 print(f"FAIL: {label}: shard counts disagree", file=sys.stderr)
                 return 1
 
-            scalar, scalar_timings = _measure(
-                dataset.records, kernel_backend="scalar",
-                shards=0,
-            )
+            scalar_pairs, scalar_scores, scalar_timings = _measure_scalar_join(
+                dataset.records)
             runs[f"{label}/scalar-join"] = run_entry(
-                scalar_timings, records=tier, pairs=len(scalar),
+                scalar_timings, records=tier, pairs=len(scalar_pairs),
             )
-            if (scalar.pairs, scalar.machine_scores) != (vec.pairs,
-                                                         vec.machine_scores):
-                print(f"FAIL: {label}: kernel backends disagree",
+            if (tuple(scalar_pairs), scalar_scores) != (vec.pairs,
+                                                        vec.machine_scores):
+                print(f"FAIL: {label}: scalar join disagrees",
                       file=sys.stderr)
                 return 1
             speedup = scalar_timings.total / max(vec_timings.total, 1e-12)
@@ -409,7 +421,7 @@ def main() -> int:
 
         if tier <= REFERENCE_CAP:
             reference, ref_timings = _measure(
-                dataset.records, kernel_backend="auto", shards=0,
+                dataset.records, shards=0,
                 similarity=SimilarityFunction("jaccard", token_jaccard),
             )
             runs[f"{label}/reference"] = run_entry(

@@ -37,7 +37,6 @@ from repro.experiments.runner import (
     run_comparison,
     run_method,
 )
-from repro.similarity.kernels import KERNEL_BACKENDS
 from repro.experiments.sweeps import epsilon_sweep, threshold_sweep
 from repro.experiments.tables import (
     format_comparison,
@@ -73,17 +72,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="blocking-key shards for the prefix join "
                              "(0/1 = unsharded; identical output at any "
                              "shard count; 'auto' picks by record count)")
-    parser.add_argument("--kernel-backend", choices=KERNEL_BACKENDS,
-                        default="auto",
-                        help="prefix-join verification kernel: numpy batch "
-                             "('vectorized') or per-pair Python ('scalar')")
 
 
 def _prepare(args: argparse.Namespace, obs=None, candidates=None) -> Instance:
     return prepare_instance(
         args.dataset, args.setting, scale=args.scale, seed=args.seed,
-        parallel=args.parallel, shards=args.shards,
-        kernel_backend=args.kernel_backend, obs=obs, candidates=candidates,
+        parallel=args.parallel, shards=args.shards, obs=obs,
+        candidates=candidates,
     )
 
 
@@ -393,7 +388,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "pipeline_workers": args.pipeline_workers,
         "parallel": args.parallel,
         "shards": args.shards,
-        "kernel_backend": args.kernel_backend,
     }
     seeds = {"dataset_seed": args.seed, "method_seed": args.method_seed}
 

@@ -11,11 +11,12 @@ Engines
 ``build_candidate_set`` picks one of two ways of producing ``S`` from its
 input; no caller can force the choice:
 
-* ``prefix`` — the length- and prefix-filtered set-similarity join
-  (:mod:`repro.pruning.prefix_join`).  It runs whenever it provably
-  produces the :class:`CandidateSet` the reference loop would: the
-  similarity carries set metadata, no external ``candidate_pairs`` are
-  given, and token blocking (when on) matches the metric's set domain.
+* ``prefix`` — the length-, prefix- and position-filtered set-similarity
+  join, vectorized and sharded by blocking key (:mod:`repro.pruning.shard`;
+  unsharded means one shard).  It runs whenever it provably produces the
+  :class:`CandidateSet` the reference loop would: the similarity carries
+  set metadata, no external ``candidate_pairs`` are given, and token
+  blocking (when on) matches the metric's set domain.
 * ``reference`` — the seed implementation: enumerate candidate pairs
   (token blocking / all pairs / caller-supplied) and score each one.  It
   is the production path for every other input (Jaro-Winkler, Soft
@@ -23,18 +24,13 @@ input; no caller can force the choice:
   knob fans its scoring loop out to worker processes
   (:mod:`repro.pruning.parallel`).
 
-The prefix join itself dispatches between two *kernel backends*
-(:data:`~repro.similarity.kernels.KERNEL_BACKENDS`): the
-``scalar`` per-pair reference and the ``vectorized`` numpy batch path of
-:mod:`repro.pruning.shard`, which also accepts a ``shards`` count for
-blocking-key partitioned (optionally multi-process) execution.  All
-combinations produce byte-identical candidate sets; backends and shard
-counts only move wall-clock and memory.
+The scalar prefix join of :mod:`repro.pruning.prefix_join` is the test
+oracle of the ``prefix`` engine.  Shard counts only move wall-clock and
+memory; every count produces a byte-identical candidate set.
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
@@ -44,7 +40,6 @@ from repro.obs import maybe_span
 from repro.perf.timing import StageTimings
 from repro.pruning.blocking import all_pairs, token_blocking_pairs
 from repro.similarity.composite import SET_METRIC_FUNCTIONS, SimilarityFunction
-from repro.similarity.kernels import numpy_available, resolve_kernel_backend
 
 Pair = Tuple[int, int]
 
@@ -118,7 +113,6 @@ def build_candidate_set(
     use_token_blocking: bool = True,
     parallel: int = 0,
     shards: int = 0,
-    kernel_backend: str = "auto",
     timings: Optional[StageTimings] = None,
     obs=None,
     supervisor_policy=None,
@@ -143,14 +137,12 @@ def build_candidate_set(
             two runs follows from the inputs (see module docstring).
         shards: Blocking-key shards for the prefix join (0/1 = unsharded).
             Any value yields byte-identical output; > 1 is a scale knob.
-        kernel_backend: ``auto`` | ``vectorized`` | ``scalar`` — how prefix
-            join candidates are verified (see
-            :mod:`repro.similarity.kernels`).  ``auto`` uses the vectorized
-            kernel whenever numpy is importable.
         timings: Optional :class:`~repro.perf.timing.StageTimings`; records
             ``blocking`` and ``scoring`` stage wall-clock.
         obs: Optional :class:`~repro.obs.ObsContext`; the phase runs inside
-            a ``pruning`` span and reports record / survivor gauges.
+            a ``pruning`` span and reports record / survivor gauges.  The
+            prefix engine also sets the span's ``generated_pairs`` and
+            ``verified_pairs`` work counters.
         supervisor_policy: Optional
             :class:`~repro.runtime.supervisor.SupervisorPolicy` tuning the
             fault handling of parallel execution (both the chunked
@@ -177,53 +169,30 @@ def build_candidate_set(
             shards = 0
     if shards < 0:
         raise ValueError(f"shards must be >= 0, got {shards}")
-    resolved_backend = resolve_kernel_backend(kernel_backend)
-    if chosen == "reference":
-        if shards > 1:
-            raise ValueError(
-                "shards > 1 applies only to the prefix join; this input "
-                "takes the reference loop "
-                f"(similarity={similarity.name!r})"
-            )
-        if kernel_backend == "vectorized":
-            raise ValueError(
-                "kernel_backend='vectorized' applies only to the prefix "
-                "join; this input takes the reference loop "
-                f"(similarity={similarity.name!r})"
-            )
-    use_sharded = (chosen == "prefix"
-                   and (shards > 1 or resolved_backend == "vectorized"))
-    if use_sharded and not numpy_available():
-        # shards > 1 with an auto/scalar backend and no numpy: the sharded
-        # join is array-based, so degrade to the (identical) scalar join.
-        warnings.warn(
-            f"shards={shards} requested but numpy is not importable; "
-            "running the unsharded scalar prefix join (identical output)",
-            RuntimeWarning, stacklevel=2,
+    if chosen == "reference" and shards > 1:
+        raise ValueError(
+            "shards > 1 applies only to the prefix join; this input "
+            "takes the reference loop "
+            f"(similarity={similarity.name!r})"
         )
-        use_sharded = False
     with maybe_span(obs, "pruning", engine=chosen,
                     records=len(records), threshold=threshold,
-                    kernel_backend=resolved_backend,
                     shards=max(shards, 1) if chosen == "prefix" else 0) as span:
-        if use_sharded:
+        if chosen == "prefix":
+            counters: Dict[str, int] = {}
             surviving, scores = _run_sharded_join(
                 records, similarity, threshold,
                 include_empty_pairs=not use_token_blocking,
                 num_shards=max(shards, 1),
                 processes=parallel,
-                kernel_backend=resolved_backend,
                 timings=timings,
                 obs=obs,
                 supervisor_policy=supervisor_policy,
                 fault_plan=fault_plan,
+                counters=counters,
             )
-        elif chosen == "prefix":
-            surviving, scores = _run_prefix_join(
-                records, similarity, threshold,
-                include_empty_pairs=not use_token_blocking,
-                timings=timings,
-            )
+            for name, value in counters.items():
+                span.set_attr(name, value)
         else:
             surviving, scores = _run_reference(
                 records, similarity, threshold, candidate_pairs,
@@ -253,30 +222,6 @@ def _stage(timings: Optional[StageTimings], name: str) -> Iterator[None]:
             yield
 
 
-def _run_prefix_join(
-    records: Sequence[Record],
-    similarity: SimilarityFunction,
-    threshold: float,
-    include_empty_pairs: bool,
-    timings: Optional[StageTimings],
-) -> Tuple[List[Pair], Dict[Pair, float]]:
-    from repro.pruning.prefix_join import prefix_filtered_candidates
-
-    assert similarity.set_metric is not None
-    surviving, scores = prefix_filtered_candidates(
-        records,
-        set_of=similarity.set_of,
-        set_function=SET_METRIC_FUNCTIONS[similarity.set_metric],
-        metric=similarity.set_metric,
-        threshold=threshold,
-        include_empty_pairs=include_empty_pairs,
-        timings=timings,
-    )
-    # Keep later phases' memoized reads warm, as the reference loop would.
-    similarity.seed_cache(scores)
-    return surviving, scores
-
-
 def _run_sharded_join(
     records: Sequence[Record],
     similarity: SimilarityFunction,
@@ -284,11 +229,11 @@ def _run_sharded_join(
     include_empty_pairs: bool,
     num_shards: int,
     processes: int,
-    kernel_backend: str,
     timings: Optional[StageTimings],
     obs,
     supervisor_policy=None,
     fault_plan=None,
+    counters: Optional[Dict[str, int]] = None,
 ) -> Tuple[List[Pair], Dict[Pair, float]]:
     from repro.pruning.shard import sharded_prefix_filtered_candidates
 
@@ -301,12 +246,12 @@ def _run_sharded_join(
         threshold=threshold,
         num_shards=num_shards,
         processes=processes,
-        kernel_backend=kernel_backend,
         include_empty_pairs=include_empty_pairs,
         timings=timings,
         obs=obs,
         supervisor_policy=supervisor_policy,
         fault_plan=fault_plan,
+        counters=counters,
     )
     # Keep later phases' memoized reads warm, as the reference loop would.
     similarity.seed_cache(scores)

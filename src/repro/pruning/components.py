@@ -90,7 +90,9 @@ def _components_sparse(
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components as sparse_cc
 
-    verts = np.unique(np.fromiter(vertices, dtype=np.int64))
+    from repro.similarity.kernels import unique_sorted
+
+    verts = unique_sorted(np.fromiter(vertices, dtype=np.int64))
     n = int(verts.size)
     edges = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     if edges.size:

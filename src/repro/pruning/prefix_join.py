@@ -22,11 +22,13 @@ Records whose set is empty never share a token, mirroring token blocking
 (which never pairs them).  The all-pairs reference, by contrast, scores
 empty-vs-empty as 1.0; ``include_empty_pairs=True`` reproduces that.
 
-This module is the *scalar reference* of the join family: one record at a
-time, Python frozensets, exact per-pair verification.  Its scale-out twin —
-the same candidate rule run over interned int-id arrays, in parallel
-shards, with numpy batch verification — lives in :mod:`repro.pruning.shard`
-and is candidate- and survivor-identical by construction.
+This module is the *scalar reference* of the join family — one record at a
+time, Python frozensets, exact per-pair verification — and serves as the
+test oracle of the production join in :mod:`repro.pruning.shard`, which runs
+the same candidate rule over interned int-id arrays in shards, adds the
+PPJoin positional filter (Xiao et al. 2008), and verifies in numpy batches.
+The two are survivor- and score-identical; the production join verifies
+fewer candidates.
 """
 
 from __future__ import annotations
@@ -51,15 +53,20 @@ EPS = 1e-9
 PREFIX_METRICS = ("jaccard", "cosine", "dice", "overlap")
 
 
-def _prefix_need(metric: str, threshold: float, size: int) -> float:
+def partner_size_need(metric: str, threshold: float, size: int) -> float:
     """Lower bound on the overlap any τ-passing partner must share with a
-    record of ``size`` tokens (minimized over all eligible partner sizes).
+    record of ``size`` tokens, minimized over all eligible partner sizes —
+    which is also a lower bound on an eligible partner's set size (the
+    partner must be strictly larger than this in exact arithmetic).
 
     Derivations (strict score > τ throughout):
       jaccard: i > τ(l_a+l_b)/(1+τ) >= τ·l   (partner no smaller than τ·l)
       cosine:  i > τ·sqrt(l_a·l_b)   >= τ²·l
       dice:    i > τ(l_a+l_b)/2      >= τ/(2-τ)·l
       overlap: i > τ·min(l_a,l_b)    >= τ·1   (no useful bound)
+
+    Shared with the sharded vectorized join (:mod:`repro.pruning.shard`),
+    which must apply the *same* float bound to stay survivor-identical.
     """
     if metric == "jaccard":
         return threshold * size
@@ -72,21 +79,23 @@ def _prefix_need(metric: str, threshold: float, size: int) -> float:
     raise ValueError(f"unknown prefix-join metric {metric!r}")
 
 
-def partner_size_need(metric: str, threshold: float, size: int) -> float:
-    """Lower bound on an eligible partner's set size (partner must be
-    strictly larger than this in exact arithmetic).
+def required_overlap(metric: str, threshold: float, smaller, larger):
+    """The overlap ``α`` a pair of set sizes ``smaller <= larger`` must
+    strictly exceed to score above τ (the left column of the derivations
+    in :func:`partner_size_need`).
 
-    Shared with the sharded vectorized join (:mod:`repro.pruning.shard`),
-    which must apply the *same* float bound to stay candidate-identical.
+    Plain float algebra, so it evaluates elementwise on numpy size arrays
+    as well as on ints; the vectorized join's positional filter compares
+    it (relaxed by :data:`EPS`) against an upper bound on the overlap.
     """
     if metric == "jaccard":
-        return threshold * size
+        return threshold / (1.0 + threshold) * (smaller + larger)
     if metric == "cosine":
-        return threshold * threshold * size
+        return threshold * (smaller * larger) ** 0.5
     if metric == "dice":
-        return threshold / (2.0 - threshold) * size
+        return threshold * (smaller + larger) / 2.0
     if metric == "overlap":
-        return 0.0
+        return threshold * smaller
     raise ValueError(f"unknown prefix-join metric {metric!r}")
 
 
@@ -98,7 +107,7 @@ def prefix_length(metric: str, threshold: float, size: int) -> int:
         return 0
     # Smallest integer overlap strictly above the bound; the epsilon only
     # ever lengthens the prefix (safe direction).
-    required = math.floor(_prefix_need(metric, threshold, size) - EPS) + 1
+    required = math.floor(partner_size_need(metric, threshold, size) - EPS) + 1
     return max(1, min(size, size - required + 1))
 
 

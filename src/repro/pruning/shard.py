@@ -1,12 +1,14 @@
-"""Sharded, vectorized prefix-filtered similarity join — the scale-out path.
+"""Sharded, vectorized prefix-filtered similarity join — the production
+pruning path for every set metric.
 
-The scalar join (:mod:`repro.pruning.prefix_join`) processes one record at a
-time over Python frozensets; at 100k-1M records both its candidate-generation
-probe loop and its per-pair verification are interpreter-bound.  This module
-runs the *same* join — same canonical token order, same prefix lengths, same
-partner-size bound, same exact verification — over interned int-rank arrays
-(:mod:`repro.similarity.kernels`), partitioned into **shards by blocking
-key** and verified in numpy blocks.
+The scalar join (:mod:`repro.pruning.prefix_join`, the test oracle)
+processes one record at a time over Python frozensets; at 100k-1M records
+both its candidate-generation probe loop and its per-pair verification are
+interpreter-bound.  This module runs the *same* join — same canonical token
+order, same prefix lengths, same partner-size bound, same exact scores —
+over interned int-rank arrays (:mod:`repro.similarity.kernels`),
+partitioned into **shards by blocking key** and verified in numpy blocks.
+Unsharded means one shard.
 
 Algorithm
 ---------
@@ -14,23 +16,38 @@ Algorithm
    whose dense ranks follow the canonical (document frequency, token) order,
    and flattened into one CSR :class:`~repro.similarity.kernels.EncodedRecords`
    store, rows sorted by the scalar join's processing order (set size, id).
-2. The *prefix incidence* list — one ``(token rank, row)`` entry per prefix
-   token per record — is built and sorted token-major.  Every entry whose
-   group (posting list of one token) has at least one earlier entry is an
-   *element*: it will pair with each of its predecessors, which is precisely
-   the scalar join's probe/index rule (a pair is generated iff the two
-   prefixes share a token).
+2. The *prefix incidence* list — one ``(token rank, row, position)`` entry
+   per prefix token per record — is built and sorted token-major.  Every
+   entry whose group (posting list of one token) has at least one earlier
+   entry is an *element*: it will pair with each of its predecessors, which
+   is precisely the scalar join's probe/index rule (a pair is generated iff
+   the two prefixes share a token).
 3. Elements are partitioned into shards with
    :func:`repro.pruning.blocking.shard_of_token` (round-robin over the
    canonical rank).  Each shard generates its pair blocks with numpy
-   (predecessor expansion), applies the partner-size filter, deduplicates,
-   and verifies the survivors — vectorized batch scoring or the scalar set
-   function, per the kernel backend.
+   (predecessor expansion) and applies two filters to every generated
+   (left, right) element: the partner-size filter, and the PPJoin
+   *positional filter* (Xiao et al. 2008) — with the shared token at
+   positions ``i`` and ``j`` of rows ``x`` and ``y``, at most
+   ``min(|x|-i, |y|-j)`` tokens can still be shared, so the element is kept
+   only if that exceeds the overlap ``α(|x|, |y|)`` a τ-passing pair needs
+   (:func:`~repro.pruning.prefix_join.required_overlap`, relaxed by
+   ``EPS``).  Surviving pair keys are deduplicated by an in-place sort and
+   verified by the batch kernel.
 4. The cross-shard merge unions the per-shard ``{pair: score}`` survivor
    maps.  A pair straddling shards (shared prefix tokens assigned to
    different shards) is verified in each, with bit-identical scores, so the
    union is order-independent; the merged map is emitted in sorted pair
    order, making the output deterministic for every shard count.
+
+The positional filter is exact per element.  Canonical order is shared by
+both rows, so a pair's *first* shared token sits at the smallest position
+in each, every shared token lies at or after it, and the bound it gives is
+an upper bound on the true overlap: a pair that passes τ always keeps the
+element of its first shared token.  That token is in both prefixes (any
+shared prefix token comes no earlier), so the shard owning it still
+generates the pair, whatever the shard count.  Elements of later shared
+tokens have no larger bounds and may be dropped; that costs nothing.
 
 Shards run either in-process (deterministic loop) or in parallel worker
 processes using the same ``fork``-pool pattern as
@@ -45,16 +62,18 @@ runs the shards in-process and reports it via
 :func:`repro.runtime.supervisor.notify_parallel_fallback`
 (``pruning.parallel_fallback`` event + ``ParallelFallbackWarning``).
 
-Equivalence contract: for every shard count and either kernel backend, the
-surviving pair list and ``{pair: score}`` map are byte-identical to
-:func:`repro.pruning.prefix_join.prefix_filtered_candidates` — the
-candidate *sets* coincide by the argument above, and verification computes
-the same IEEE-754 doubles (see :mod:`repro.similarity.kernels`).
+Equivalence contract: for every shard count, the surviving pair list and
+``{pair: score}`` map are byte-identical to
+:func:`repro.pruning.prefix_join.prefix_filtered_candidates` — no
+τ-passing pair is filtered (argument above), and verification computes the
+same IEEE-754 doubles (see :mod:`repro.similarity.kernels`).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from repro.datasets.schema import Record
 from repro.perf.timing import StageTimings
@@ -66,19 +85,14 @@ from repro.pruning.prefix_join import (
     PREFIX_METRICS,
     partner_size_need,
     prefix_length,
+    required_overlap,
 )
 from repro.similarity.kernels import (
     EncodedRecords,
     TokenVocabulary,
-    numpy_available,
-    resolve_kernel_backend,
     score_encoded_pairs,
+    unique_sorted,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
 
 Pair = Tuple[int, int]
 SetFunction = Callable[[FrozenSet[str], FrozenSet[str]], float]
@@ -96,20 +110,25 @@ class _JoinPlan:
     """Everything a shard worker needs, built once in the parent.
 
     All arrays index *rows* (positions in the size-ordered record list),
-    not record ids; ``ids[row]`` maps back at emission time.
+    not record ids; ``ids[row]`` maps back at emission time.  The posting
+    arrays (``rows_sorted``, ``pos_sorted``) hold every prefix incidence
+    entry token-major; the ``elem_*`` arrays hold the elements (entries
+    with at least one predecessor in their posting list).  ``*_pos`` is
+    the token's ``int32`` position inside its row.
     """
 
-    def __init__(self, encoded: EncodedRecords, rows_sorted, elem_row,
-                 elem_k, elem_grp_start, elem_token, need,
-                 sets_in_order: List[FrozenSet[str]]):
+    def __init__(self, encoded: EncodedRecords, rows_sorted, pos_sorted,
+                 elem_row, elem_pos, elem_k, elem_grp_start, elem_token,
+                 need):
         self.encoded = encoded
         self.rows_sorted = rows_sorted
+        self.pos_sorted = pos_sorted
         self.elem_row = elem_row
+        self.elem_pos = elem_pos
         self.elem_k = elem_k
         self.elem_grp_start = elem_grp_start
         self.elem_token = elem_token
         self.need = need
-        self.sets_in_order = sets_in_order
 
 
 def _build_plan(
@@ -122,7 +141,6 @@ def _build_plan(
     ordered_ids = sorted(nonempty, key=lambda rid: (len(sets[rid]), rid))
     vocab = TokenVocabulary.build([sets[rid] for rid in ordered_ids])
     encoded = EncodedRecords.from_sets(sets, ordered_ids, vocab)
-    sets_in_order = [sets[rid] for rid in ordered_ids]
 
     sizes = encoded.counts
     # Per-size memos keep the float bounds literally identical to the
@@ -153,6 +171,7 @@ def _build_plan(
     order = _np.argsort(inc_tokens, kind="stable")
     tokens_sorted = inc_tokens[order]
     rows_sorted = inc_rows[order]
+    pos_sorted = within[order].astype(_np.int32)
 
     # Each incidence entry with k predecessors in its posting contributes
     # k candidate pairs; k == 0 entries (posting heads) contribute none.
@@ -171,21 +190,18 @@ def _build_plan(
     return _JoinPlan(
         encoded=encoded,
         rows_sorted=rows_sorted,
+        pos_sorted=pos_sorted,
         elem_row=rows_sorted[active],
+        elem_pos=pos_sorted[active],
         elem_k=elem_k[active],
         elem_grp_start=elem_grp_start[active],
         elem_token=tokens_sorted[active],
         need=need,
-        sets_in_order=sets_in_order,
     )
 
 
-def record_shard_touch_masks(
-    plan: _JoinPlan,
-    metric: str,
-    threshold: float,
-    num_shards: int,
-) -> Dict[int, int]:
+def record_shard_touch_masks(plan: _JoinPlan,
+                             num_shards: int) -> Dict[int, int]:
     """Per-record bitmask of pruning shards that can emit incident pairs.
 
     The join generates a pair only from a prefix token present in *both*
@@ -197,11 +213,12 @@ def record_shard_touch_masks(
     in practice most prefix tokens are such singletons (prefix filtering
     deliberately picks the rarest tokens), and dropping them is what
     makes the masks narrow enough for components to seal while later
-    shards still run.  (The partner-size filter only *removes* pairs, so
-    the mask stays a safe over-approximation.)  Records with empty token
-    sets — or whose prefix tokens are all singletons — are absent from
-    the result; callers treat them as mask ``0`` (sealed immediately,
-    which is exact: no future edge can touch them).
+    shards still run.  (The partner-size and positional filters only
+    *remove* pairs, so the mask stays a safe over-approximation.)
+    Records with empty token sets — or whose prefix tokens are all
+    singletons — are absent from the result; callers treat them as mask
+    ``0`` (sealed immediately, which is exact: no future edge can touch
+    them).
 
     The pipelined executor ORs these masks over union-find components to
     decide when a component is *sealed* (see
@@ -209,32 +226,19 @@ def record_shard_touch_masks(
     """
     if num_shards < 1:
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    sizes = plan.encoded.counts
-    prefix_of_size = {size: prefix_length(metric, threshold, size)
-                      for size in set(sizes.tolist())}
-    size_list = sizes.tolist()
-    pcounts = _np.fromiter((prefix_of_size[size] for size in size_list),
-                           dtype=_np.int64, count=len(size_list))
-    total = int(pcounts.sum())
-    nrows = len(plan.encoded)
-    first_out = _np.repeat(_np.cumsum(pcounts) - pcounts, pcounts)
-    within = _np.arange(total, dtype=_np.int64) - first_out
-    src = _np.repeat(plan.encoded.starts, pcounts) + within
-    tokens = plan.encoded.flat[src]
-    rows = _np.repeat(_np.arange(nrows, dtype=_np.int64), pcounts)
-    # Keep only tokens shared by at least two prefixes: singletons can
-    # never emit a pair, and they are the majority of prefix tokens.
-    _, inverse, counts = _np.unique(tokens, return_inverse=True,
-                                    return_counts=True)
-    shared = counts[inverse] >= 2
-    shards = tokens[shared] % num_shards
-    packed = _np.unique(rows[shared] * num_shards + shards)
+    # The members of the plan's shared postings (>= 2 entries) are its
+    # elements plus each such posting's head entry.
+    shard = plan.elem_token.astype(_np.int64) % num_shards
+    packed = unique_sorted(_np.concatenate((
+        plan.elem_row * num_shards + shard,
+        plan.rows_sorted[plan.elem_grp_start] * num_shards + shard,
+    )))
     ids = plan.encoded.ids.tolist()
     masks: Dict[int, int] = {}
     for key in packed.tolist():
-        row, shard = divmod(key, num_shards)
+        row, shard_index = divmod(key, num_shards)
         record_id = ids[row]
-        masks[record_id] = masks.get(record_id, 0) | (1 << shard)
+        masks[record_id] = masks.get(record_id, 0) | (1 << shard_index)
     return masks
 
 
@@ -243,63 +247,63 @@ def _process_element_batch(
     element_indices,
     metric: str,
     threshold: float,
-    kernel: str,
-    set_function: SetFunction,
     survivors: Dict[Pair, float],
-) -> int:
+) -> Tuple[int, int]:
     """Expand one element batch into pairs, filter, verify, accumulate.
 
-    Returns the number of (deduplicated, size-eligible) pairs verified.
+    Returns ``(generated, verified)``: the pairs passing both generation
+    filters, and the distinct pairs among them that were verified.
     """
     k = plan.elem_k[element_indices]
     total = int(k.sum())
     if total == 0:
-        return 0
+        return 0, 0
     # Predecessor expansion: element e (row r at posting offset k_e) pairs
     # with the k_e earlier entries of its posting list.
     right_row = _np.repeat(plan.elem_row[element_indices], k)
+    right_pos = _np.repeat(plan.elem_pos[element_indices], k)
     first = _np.cumsum(k) - k
     within = _np.arange(total, dtype=_np.int64) - _np.repeat(first, k)
-    left_pos = _np.repeat(plan.elem_grp_start[element_indices], k) + within
-    left_row = plan.rows_sorted[left_pos]
+    left_entry = _np.repeat(plan.elem_grp_start[element_indices], k) + within
+    left_row = plan.rows_sorted[left_entry]
+    left_pos = plan.pos_sorted[left_entry]
 
+    counts = plan.encoded.counts
+    left_size = counts[left_row]
+    right_size = counts[right_row]
     # Partner-size filter — the probing (later, right) record's bound
     # applied to the indexed (earlier, left) record, as in the scalar join.
-    keep = plan.encoded.counts[left_row] >= plan.need[right_row]
+    keep = left_size >= plan.need[right_row]
+    # Positional filter: from the shared token on, at most
+    # min(|x| - i, |y| - j) tokens can be shared.  Rows are processed in
+    # size order, so the left row is never the larger one.
+    keep &= (_np.minimum(left_size - left_pos, right_size - right_pos)
+             > required_overlap(metric, threshold, left_size, right_size)
+             - EPS)
     left_row = left_row[keep]
     right_row = right_row[keep]
-    if len(left_row) == 0:
-        return 0
+    generated = len(left_row)
+    if generated == 0:
+        return 0, 0
 
     # Deduplicate pairs generated from several shared prefix tokens.
     nrows = _np.int64(len(plan.encoded))
-    packed = _np.unique(left_row * nrows + right_row)
+    packed = unique_sorted(left_row * nrows + right_row)
     left_row = packed // nrows
     right_row = packed % nrows
 
     ids = plan.encoded.ids
-    if kernel == "vectorized":
-        scores = score_encoded_pairs(metric, plan.encoded, left_row, right_row)
-        passing = scores > threshold
-        left_ids = ids[left_row[passing]]
-        right_ids = ids[right_row[passing]]
-        low = _np.minimum(left_ids, right_ids)
-        high = _np.maximum(left_ids, right_ids)
-        survivors.update(zip(
-            zip(low.tolist(), high.tolist()),
-            scores[passing].tolist(),
-        ))
-    else:
-        sets_in_order = plan.sets_in_order
-        id_list = ids.tolist()
-        for row_a, row_b in zip(left_row.tolist(), right_row.tolist()):
-            score = set_function(sets_in_order[row_a], sets_in_order[row_b])
-            score = min(1.0, max(0.0, score))
-            if score > threshold:
-                id_a, id_b = id_list[row_a], id_list[row_b]
-                pair = (id_a, id_b) if id_a < id_b else (id_b, id_a)
-                survivors[pair] = score
-    return len(packed)
+    scores = score_encoded_pairs(metric, plan.encoded, left_row, right_row)
+    passing = scores > threshold
+    left_ids = ids[left_row[passing]]
+    right_ids = ids[right_row[passing]]
+    low = _np.minimum(left_ids, right_ids)
+    high = _np.maximum(left_ids, right_ids)
+    survivors.update(zip(
+        zip(low.tolist(), high.tolist()),
+        scores[passing].tolist(),
+    ))
+    return generated, len(packed)
 
 
 def _join_shard(
@@ -308,19 +312,20 @@ def _join_shard(
     num_shards: int,
     metric: str,
     threshold: float,
-    kernel: str,
-    set_function: SetFunction,
     pair_block_size: int,
-) -> Dict[Pair, float]:
-    """Run one shard's generation + verification; returns its survivors."""
+) -> Tuple[Dict[Pair, float], int, int]:
+    """Run one shard's generation + verification.
+
+    Returns ``(survivors, generated, verified)`` — the shard's survivor
+    map and its pair counters (see :func:`_process_element_batch`).
+    """
     if num_shards > 1:
         # Vectorized form of blocking.shard_of_token over the element list.
         mine = _np.flatnonzero(plan.elem_token % num_shards == shard_index)
     else:
         mine = _np.arange(len(plan.elem_k), dtype=_np.int64)
     survivors: Dict[Pair, float] = {}
-    if len(mine) == 0:
-        return survivors
+    generated = verified = 0
     pair_counts = _np.cumsum(plan.elem_k[mine])
     start = 0
     while start < len(mine):
@@ -328,15 +333,16 @@ def _join_shard(
         stop = int(_np.searchsorted(pair_counts, consumed + pair_block_size,
                                     side="left")) + 1
         stop = min(max(stop, start + 1), len(mine))
-        _process_element_batch(
-            plan, mine[start:stop], metric, threshold, kernel,
-            set_function, survivors,
+        batch_generated, batch_verified = _process_element_batch(
+            plan, mine[start:stop], metric, threshold, survivors,
         )
+        generated += batch_generated
+        verified += batch_verified
         start = stop
-    return survivors
+    return survivors, generated, verified
 
 
-def _run_shard_worker(shard_index: int) -> Dict[Pair, float]:
+def _run_shard_worker(shard_index: int) -> Tuple[Dict[Pair, float], int, int]:
     """Pool entry point: reads the fork-time snapshot in _SHARD_STATE."""
     return _join_shard(
         _SHARD_STATE["plan"],  # type: ignore[arg-type]
@@ -344,8 +350,6 @@ def _run_shard_worker(shard_index: int) -> Dict[Pair, float]:
         _SHARD_STATE["num_shards"],  # type: ignore[arg-type]
         _SHARD_STATE["metric"],  # type: ignore[arg-type]
         _SHARD_STATE["threshold"],  # type: ignore[arg-type]
-        _SHARD_STATE["kernel"],  # type: ignore[arg-type]
-        _SHARD_STATE["set_function"],  # type: ignore[arg-type]
         _SHARD_STATE["pair_block_size"],  # type: ignore[arg-type]
     )
 
@@ -358,13 +362,13 @@ def sharded_prefix_filtered_candidates(
     threshold: float,
     num_shards: int = 1,
     processes: int = 0,
-    kernel_backend: str = "auto",
     include_empty_pairs: bool = False,
     timings: Optional[StageTimings] = None,
     obs=None,
     pair_block_size: int = DEFAULT_PAIR_BLOCK_SIZE,
     supervisor_policy: Optional[SupervisorPolicy] = None,
     fault_plan: Optional[ProcessFaultPlan] = None,
+    counters: Optional[Dict[str, int]] = None,
 ) -> Tuple[List[Pair], Dict[Pair, float]]:
     """Run the sharded vectorized join; same contract (and output, byte for
     byte) as :func:`repro.pruning.prefix_join.prefix_filtered_candidates`.
@@ -372,9 +376,9 @@ def sharded_prefix_filtered_candidates(
     Args:
         records: The record set ``R``.
         set_of: Maps a record to the frozenset the metric compares.
-        set_function: The exact scalar set metric — used verbatim for
-            verification under the ``scalar`` kernel, and as the equivalence
-            reference of the ``vectorized`` kernel.
+        set_function: The exact scalar set metric: scores the empty-set
+            pairs of ``include_empty_pairs``, and is the equivalence
+            reference of the batch kernel.
         metric: One of :data:`~repro.pruning.prefix_join.PREFIX_METRICS`.
         threshold: τ; pairs with score strictly above τ survive.
         num_shards: Blocking-key shards (>= 1).  Output is identical for
@@ -384,8 +388,6 @@ def sharded_prefix_filtered_candidates(
             shard) runs in-process.  Requires the ``fork`` start method —
             without it the join falls back to the in-process loop and
             emits the ``pruning.parallel_fallback`` warning event.
-        kernel_backend: ``auto`` | ``vectorized`` | ``scalar`` —
-            verification kernel (see :mod:`repro.similarity.kernels`).
         include_empty_pairs: Also emit pairs of records with empty sets,
             matching the all-pairs reference (same as the scalar join).
         timings: Optional stage timer; ``blocking`` covers interning,
@@ -399,11 +401,10 @@ def sharded_prefix_filtered_candidates(
             :class:`~repro.runtime.supervisor.SupervisorPolicy`.
         fault_plan: Deterministic process-fault injection (chaos testing
             only); task index = shard index.
-
-    Raises:
-        RuntimeError: When numpy is unavailable (the sharded join is
-            inherently array-based; callers should degrade to the scalar
-            join instead — ``build_candidate_set`` does).
+        counters: Optional dict receiving the join's deterministic work
+            counts, summed over shards: ``generated_pairs`` (pairs passing
+            the size and positional filters) and ``verified_pairs`` (the
+            distinct pairs among them scored per pair block).
     """
     if metric not in PREFIX_METRICS:
         raise ValueError(f"unknown prefix-join metric {metric!r}")
@@ -413,12 +414,6 @@ def sharded_prefix_filtered_candidates(
         raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if pair_block_size < 1:
         raise ValueError(f"pair_block_size must be >= 1, got {pair_block_size}")
-    if not numpy_available():
-        raise RuntimeError(
-            "the sharded join requires numpy; use the scalar prefix join "
-            "(repro.pruning.prefix_join) on numpy-free platforms"
-        )
-    kernel = resolve_kernel_backend(kernel_backend)
     timings = timings if timings is not None else StageTimings()
 
     with timings.stage("blocking"):
@@ -431,13 +426,17 @@ def sharded_prefix_filtered_candidates(
 
     with timings.stage("scoring"):
         merged: Dict[Pair, float] = {}
-        shard_results = _execute_shards(
-            plan, num_shards, processes, metric, threshold, kernel,
-            set_function, pair_block_size, obs,
-            supervisor_policy, fault_plan,
-        )
-        for shard_survivors in shard_results:
+        generated = verified = 0
+        for shard_survivors, shard_generated, shard_verified in _execute_shards(
+            plan, num_shards, processes, metric, threshold,
+            pair_block_size, obs, supervisor_policy, fault_plan,
+        ):
             merged.update(shard_survivors)
+            generated += shard_generated
+            verified += shard_verified
+        if counters is not None:
+            counters.update(generated_pairs=generated,
+                            verified_pairs=verified)
 
         if include_empty_pairs and len(empty) >= 2:
             empty_score = min(1.0, max(0.0, set_function(frozenset(),
@@ -459,17 +458,15 @@ def _execute_shards(
     processes: int,
     metric: str,
     threshold: float,
-    kernel: str,
-    set_function: SetFunction,
     pair_block_size: int,
     obs,
     supervisor_policy: Optional[SupervisorPolicy] = None,
     fault_plan: Optional[ProcessFaultPlan] = None,
-) -> List[Dict[Pair, float]]:
-    """All shards' survivor maps, in shard order (parallel when asked)."""
+) -> List[Tuple[Dict[Pair, float], int, int]]:
+    """All shards' :func:`_join_shard` results, in shard order (parallel
+    when asked)."""
     _SHARD_STATE.update(
         plan=plan, num_shards=num_shards, metric=metric, threshold=threshold,
-        kernel=kernel, set_function=set_function,
         pair_block_size=pair_block_size,
     )
     try:

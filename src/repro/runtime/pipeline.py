@@ -117,8 +117,6 @@ from repro.runtime.supervisor import (
     SupervisedPool,
     SupervisorPolicy,
 )
-from repro.similarity.composite import SET_METRIC_FUNCTIONS
-from repro.similarity.kernels import numpy_available, resolve_kernel_backend
 
 Pair = Tuple[int, int]
 
@@ -159,8 +157,7 @@ def _execute_task(payload: Tuple) -> Any:
     if kind == "prune":
         return _join_shard(
             state["plan"], payload[1], state["num_shards"],
-            state["metric"], state["threshold"], state["kernel"],
-            state["set_function"], state["pair_block_size"],
+            state["metric"], state["threshold"], state["pair_block_size"],
         )
     if kind == "pivot":
         # One task = one *group* of sealed components, run back-to-back
@@ -195,7 +192,6 @@ def run_pipeline(
     candidates: Optional[CandidateSet] = None,
     threshold: float = DEFAULT_THRESHOLD,
     pruning_shards: Union[int, str] = "auto",
-    kernel_backend: str = "auto",
     workers: int = 0,
     epsilon: float = DEFAULT_EPSILON,
     threshold_divisor: float = DEFAULT_THRESHOLD_DIVISOR,
@@ -220,7 +216,7 @@ def run_pipeline(
     - ``records`` + ``similarity`` — the full pipeline: pruning shards
       stream candidate edges into the sealing accumulator and sealed
       components dispatch to pivot workers while pruning still runs.
-      Requires a prefix-join-eligible similarity and numpy; otherwise
+      Requires a prefix-join-eligible similarity; otherwise
       pruning degrades to the (byte-identical) barrier
       :func:`~repro.pruning.candidate.build_candidate_set` and only the
       crowd phases pipeline.
@@ -251,7 +247,7 @@ def run_pipeline(
                 journaled, records=records, similarity=similarity,
                 record_ids=record_ids, candidates=candidates,
                 threshold=threshold, pruning_shards=pruning_shards,
-                kernel_backend=kernel_backend, workers=workers,
+                workers=workers,
                 epsilon=epsilon, threshold_divisor=threshold_divisor,
                 num_buckets=num_buckets, seed=seed, permutation=permutation,
                 refine=refine, pairs_per_hit=pairs_per_hit, ranking=ranking,
@@ -302,8 +298,7 @@ def run_pipeline(
         if candidates is None:
             candidates = build_candidate_set(
                 records, similarity, threshold=threshold,
-                shards=num_shards, kernel_backend=kernel_backend,
-                parallel=workers, timings=timings, obs=obs,
+                shards=num_shards, parallel=workers, timings=timings, obs=obs,
                 supervisor_policy=supervisor_policy, fault_plan=fault_plan,
             )
             if checkpoints is not None:
@@ -312,22 +307,19 @@ def run_pipeline(
     stream_pruning = (
         candidates is None
         and restored_refinement is None and restored is None
-        and numpy_available()
         and _prefix_join_eligible(similarity, None, True)
     )
     if (candidates is None and not stream_pruning
             and restored_refinement is None and restored is None):
-        # Streaming needs the vectorized token-blocked prefix join; for
-        # other similarity/platform configurations only the crowd phases
-        # pipeline (pruning runs the byte-identical barrier engine).
+        # Streaming needs the token-blocked prefix join; for other
+        # similarities only the crowd phases pipeline (pruning runs the
+        # byte-identical barrier engine).
         if obs is not None:
             obs.event("pipeline.serial_pruning",
-                      reason=("no-numpy" if not numpy_available()
-                              else "not-prefix-eligible"))
+                      reason="not-prefix-eligible")
         candidates = build_candidate_set(
             records, similarity, threshold=threshold,
-            shards=num_shards if numpy_available() else 0,
-            kernel_backend=kernel_backend, parallel=workers,
+            shards=num_shards, parallel=workers,
             timings=timings, obs=obs,
             supervisor_policy=supervisor_policy, fault_plan=fault_plan,
         )
@@ -384,7 +376,7 @@ def run_pipeline(
                     candidates, components, pivot_of = (
                         _streamed_pruning_phase(
                             pool_factory, records, similarity, threshold,
-                            num_shards, kernel_backend, ids, component_logs,
+                            num_shards, ids, component_logs,
                             obs, checkpoints,
                         ))
                 else:
@@ -495,6 +487,7 @@ def _collect_one(pool: SupervisedPool, prune_of: Dict[int, int],
                  shard_queue: deque, batcher: _PivotBatcher,
                  pivot_of: Dict[int, List[int]],
                  merged: Dict[Pair, float],
+                 counters: Dict[str, int],
                  tracker: IncrementalComponents,
                  sealed_components: List[Tuple[int, ...]],
                  component_logs: Dict[int, list], obs) -> None:
@@ -513,10 +506,13 @@ def _collect_one(pool: SupervisedPool, prune_of: Dict[int, int],
         if shard_queue:
             refill = shard_queue.popleft()
             prune_of[pool.submit(("prune", refill))] = refill
+        survivors, generated, verified = value
+        counters["generated_pairs"] += generated
+        counters["verified_pairs"] += verified
         # Shards re-emit pairs whose tokens hash to several shards; the
         # union-find only needs each edge once (the merge dict is the
         # dedup set — a pair seen before cannot change any component).
-        for pair, score in value.items():
+        for pair, score in survivors.items():
             if pair not in merged:
                 merged[pair] = score
                 tracker.add_edge(*pair)
@@ -537,7 +533,7 @@ def _collect_one(pool: SupervisedPool, prune_of: Dict[int, int],
 
 def _streamed_pruning_phase(
     pool_factory, records, similarity, threshold: float,
-    num_shards: int, kernel_backend: str, ids: Sequence[int],
+    num_shards: int, ids: Sequence[int],
     component_logs: Dict[int, list], obs, checkpoints,
 ) -> Tuple[CandidateSet, List[Tuple[int, ...]], Dict[int, List[int]]]:
     """Phase A: run pruning shards, streaming sealed components to pivot.
@@ -550,21 +546,17 @@ def _streamed_pruning_phase(
     gate this phase's exit — so the returned ``pivot_of`` maps each
     still-outstanding pivot task to the components it runs.
     """
-    resolved_backend = resolve_kernel_backend(kernel_backend)
     metric = similarity.set_metric
-    set_function = SET_METRIC_FUNCTIONS[metric]
     with maybe_span(obs, "pruning", engine="prefix", records=len(records),
-                    threshold=threshold, kernel_backend=resolved_backend,
-                    shards=num_shards) as span:
+                    threshold=threshold, shards=num_shards) as span:
         sets = {record.record_id: similarity.set_of(record)
                 for record in records}
         nonempty = [record_id for record_id, s in sets.items() if s]
         plan = _build_plan(sets, nonempty, metric, threshold)
-        touch = record_shard_touch_masks(plan, metric, threshold, num_shards)
+        touch = record_shard_touch_masks(plan, num_shards)
         tracker = IncrementalComponents(ids, touch, num_shards)
         _PIPELINE_STATE.update(
             plan=plan, num_shards=num_shards, metric=metric,
-            kernel=resolved_backend, set_function=set_function,
             pair_block_size=DEFAULT_PAIR_BLOCK_SIZE,
         )
         # Fork *after* the join plan is published: workers inherit it
@@ -572,6 +564,7 @@ def _streamed_pruning_phase(
         pool = pool_factory()
 
         merged: Dict[Pair, float] = {}
+        counters = {"generated_pairs": 0, "verified_pairs": 0}
         # Wave dispatch: keep at most one prune shard in flight per
         # actually-available CPU.  Flooding every worker with a prune
         # shard makes the OS time-slice them to a simultaneous finish —
@@ -590,7 +583,7 @@ def _streamed_pruning_phase(
         sealed_components: List[Tuple[int, ...]] = []
         while prune_of:
             _collect_one(pool, prune_of, shard_queue, batcher, pivot_of,
-                         merged, tracker, sealed_components,
+                         merged, counters, tracker, sealed_components,
                          component_logs, obs)
         batcher.flush()
         assert tracker.all_sealed
@@ -611,6 +604,8 @@ def _streamed_pruning_phase(
                                   machine_scores=scores,
                                   threshold=threshold)
         if obs is not None:
+            for name, value in counters.items():
+                span.set_attr(name, value)
             span.set_attr("candidate_pairs", len(surviving))
             obs.metrics.gauge(
                 "pruning_records", help="Records entering the pruning phase"

@@ -9,12 +9,6 @@ sorted ``int32`` array in one flat CSR store (:class:`EncodedRecords`), and
 whole blocks of candidate pairs are scored with a handful of numpy
 operations instead of one Python call each.
 
-Backends are dispatched through :data:`KERNEL_BACKENDS`:
-
-* ``scalar`` — the literal reading: per-pair Python set functions.
-* ``vectorized`` — the numpy batch path described above.
-* ``auto`` — ``vectorized`` when numpy is importable, else ``scalar``.
-
 Equivalence contract: for every supported metric the vectorized scores are
 **bit-for-bit identical** to the scalar ones.  Intersection and set sizes
 are exact integers; each batch formula performs the same IEEE-754 double
@@ -22,9 +16,6 @@ operations in the same order as its scalar twin (e.g. Jaccard divides the
 exact intersection by the exact union — both integers below 2^53 — so both
 paths produce the same correctly rounded quotient).  The empty-set
 conventions also match: empty vs empty scores 1.0, empty vs non-empty 0.0.
-
-numpy is an optional dependency: when it is missing every ``auto`` resolve
-degrades to ``scalar`` and the module stays importable.
 """
 
 from __future__ import annotations
@@ -32,43 +23,26 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-try:  # Optional dependency: everything degrades to the scalar path.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None  # type: ignore[assignment]
-
-#: Kernel backends, fast/reference style.  ``auto`` resolves at call time.
-KERNEL_BACKENDS = ("auto", "vectorized", "scalar")
+import numpy as _np
 
 #: Metrics with a batch implementation (the prefix-join family).
 VECTORIZED_METRICS = ("jaccard", "cosine", "dice", "overlap")
 
 
-def numpy_available() -> bool:
-    """Whether the vectorized backend can run at all."""
-    return _np is not None
+def unique_sorted(keys: "_np.ndarray") -> "_np.ndarray":
+    """Sort ``keys`` in place and return its distinct values, ascending.
 
-
-def resolve_kernel_backend(backend: str) -> str:
-    """Resolve a :data:`KERNEL_BACKENDS` name to ``vectorized`` or ``scalar``.
-
-    Raises:
-        ValueError: For an unknown backend, or for an *explicit*
-            ``vectorized`` request when numpy is not importable (``auto``
-            silently degrades instead).
+    The same result as ``np.unique(keys)`` for a 1-D array, without the
+    hash-table path recent numpy takes there, which is many times slower
+    than a sort on the join's int64 pair keys.
     """
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"kernel backend must be one of {KERNEL_BACKENDS}, got {backend!r}"
-        )
-    if backend == "auto":
-        return "vectorized" if numpy_available() else "scalar"
-    if backend == "vectorized" and not numpy_available():
-        raise ValueError(
-            "kernel backend 'vectorized' requires numpy, which is not "
-            "importable in this environment (use 'auto' or 'scalar')"
-        )
-    return backend
+    keys.sort()
+    if len(keys) < 2:
+        return keys
+    distinct = _np.empty(len(keys), dtype=bool)
+    distinct[0] = True
+    _np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    return keys[distinct]
 
 
 class TokenVocabulary:
@@ -106,8 +80,6 @@ class TokenVocabulary:
 
     def encode(self, token_set: FrozenSet[str]) -> "_np.ndarray":
         """One set as a sorted (= canonically ordered) ``int32`` rank array."""
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required to encode token sets")
         ranks = _np.fromiter(
             (self.rank_of[token] for token in token_set),
             dtype=_np.int32, count=len(token_set),
@@ -145,8 +117,6 @@ class EncodedRecords:
         vocab: Optional[TokenVocabulary] = None,
     ) -> "EncodedRecords":
         """Encode ``sets`` (restricted to ``ids``, in that row order)."""
-        if _np is None:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is required to build EncodedRecords")
         if vocab is None:
             vocab = TokenVocabulary.build([sets[record_id] for record_id in ids])
         counts = _np.fromiter((len(sets[record_id]) for record_id in ids),
@@ -320,8 +290,6 @@ def batch_text_scores(
         domain: ``"word"`` (word tokens) or ``"qgram"`` (padded q-grams).
         q: Gram length for the q-gram domain.
     """
-    if _np is None:
-        raise RuntimeError("numpy is required for batch_text_scores")
     if len(texts_a) != len(texts_b):
         raise ValueError(
             f"aligned text batches required: {len(texts_a)} vs {len(texts_b)}"

@@ -1,12 +1,12 @@
 """Byte-identity of the sharded vectorized join with the scalar prefix join.
 
-Sharding and vectorization are throughput optimizations, not
-approximations: for every metric, shard count, process count, and kernel
-backend the sharded join must return exactly the pairs and float scores of
-:func:`~repro.pruning.prefix_join.prefix_filtered_candidates` (itself
-pinned to the seed reference loop by ``test_fastpath_equivalence``).
-These tests also cover the ``build_candidate_set`` routing (``shards`` /
-``kernel_backend`` knobs) and the never-silent serial fallback.
+Sharding, vectorization and the positional filter are throughput
+optimizations, not approximations: for every metric, shard count and
+process count the sharded join must return exactly the pairs and float
+scores of :func:`~repro.pruning.prefix_join.prefix_filtered_candidates`
+(itself pinned to the seed reference loop by ``test_fastpath_equivalence``).
+These tests also cover the ``build_candidate_set`` routing (``shards``
+knob), the join's work counters, and the never-silent serial fallback.
 """
 
 import pytest
@@ -15,8 +15,14 @@ from hypothesis import strategies as st
 
 from repro.datasets.registry import generate
 from repro.datasets.schema import Record
+from repro.obs import ObsContext
+from repro.pruning import shard
 from repro.pruning.candidate import build_candidate_set
-from repro.pruning.prefix_join import PREFIX_METRICS, prefix_filtered_candidates
+from repro.pruning.prefix_join import (
+    PREFIX_METRICS,
+    prefix_filtered_candidates,
+    required_overlap,
+)
 from repro.runtime import supervisor
 from repro.runtime.supervisor import ParallelFallbackWarning
 from repro.similarity.composite import (
@@ -28,13 +34,7 @@ from repro.similarity.composite import (
     qgram_similarity_function,
 )
 from repro.similarity.jaccard import token_jaccard
-from repro.similarity.kernels import numpy_available
 from tests.conftest import reference_similarity
-
-shard = pytest.importorskip("repro.pruning.shard")
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the sharded join requires numpy"
-)
 
 SET_FACTORIES = {
     "jaccard": jaccard_similarity_function,
@@ -58,22 +58,19 @@ def join_args(metric, factory=None):
 
 
 def assert_same_join(records, metric, threshold, *, include_empty_pairs=False,
-                     shard_counts=(1, 2, 3, 5, 8), backends=("vectorized",
-                                                             "scalar")):
-    """The scalar unsharded join vs every (shards, backend) combination."""
+                     shard_counts=(1, 2, 3, 5, 8)):
+    """The scalar unsharded join vs the sharded join at every shard count."""
     expected_pairs, expected_scores = prefix_filtered_candidates(
         records, threshold=threshold,
         include_empty_pairs=include_empty_pairs, **join_args(metric),
     )
     for num_shards in shard_counts:
-        for backend in backends:
-            pairs, scores = shard.sharded_prefix_filtered_candidates(
-                records, threshold=threshold, num_shards=num_shards,
-                kernel_backend=backend,
-                include_empty_pairs=include_empty_pairs, **join_args(metric),
-            )
-            assert pairs == expected_pairs, (metric, num_shards, backend)
-            assert scores == expected_scores, (metric, num_shards, backend)
+        pairs, scores = shard.sharded_prefix_filtered_candidates(
+            records, threshold=threshold, num_shards=num_shards,
+            include_empty_pairs=include_empty_pairs, **join_args(metric),
+        )
+        assert pairs == expected_pairs, (metric, num_shards)
+        assert scores == expected_scores, (metric, num_shards)
 
 
 class TestShardedJoinOnDatasets:
@@ -130,6 +127,63 @@ class TestShardedJoinRandomized:
         assert got == expected
 
 
+class TestPositionalFilter:
+    """The PPJoin positional filter drops only pairs that cannot pass."""
+
+    # (metric, |x|, |y|, overlap): the overlap is the smallest integer
+    # above the required overlap α, which itself is not an integer.
+    BOUNDARY = (
+        ("jaccard", 10, 10, 5),
+        ("cosine", 4, 9, 2),
+        ("dice", 10, 11, 4),
+        ("overlap", 11, 12, 4),
+    )
+
+    @pytest.mark.parametrize("metric,size_x,size_y,overlap", BOUNDARY)
+    def test_pair_at_the_positional_bound_survives(self, metric, size_x,
+                                                   size_y, overlap):
+        alpha = required_overlap(metric, 0.3, size_x, size_y)
+        assert overlap - 1 < alpha < overlap
+        shared = [f"s{i}" for i in range(overlap)]
+        # With two records, the shared tokens (document frequency 2) come
+        # after every unshared one in canonical order: the first shared
+        # token leaves exactly `overlap` tokens in each row from it on.
+        records = recs(
+            " ".join([f"x{i}" for i in range(size_x - overlap)] + shared),
+            " ".join([f"y{i}" for i in range(size_y - overlap)] + shared),
+        )
+        pairs, _ = prefix_filtered_candidates(records, threshold=0.3,
+                                              **join_args(metric))
+        assert pairs == [(0, 1)]
+        assert_same_join(records, metric, 0.3, shard_counts=(1, 2, 3))
+
+    def test_filter_cuts_generated_and_verified_pairs(self):
+        records = generate("restaurant", scale=1.0, seed=1).records
+        obs = ObsContext()
+        build_candidate_set(records, jaccard_similarity_function(),
+                            threshold=0.3, obs=obs)
+        (span,) = [root for root in obs.tracer.roots
+                   if root.name == "pruning"]
+        generated = span.attrs["generated_pairs"]
+        verified = span.attrs["verified_pairs"]
+
+        # Without the positional filter every predecessor pair passing the
+        # partner-size filter is generated.
+        similarity = jaccard_similarity_function()
+        sets = {record.record_id: similarity.set_of(record)
+                for record in records}
+        plan = shard._build_plan(sets, [rid for rid in sets if sets[rid]],
+                                 "jaccard", 0.3)
+        counts = plan.encoded.counts
+        size_eligible = 0
+        for element in range(len(plan.elem_k)):
+            start = plan.elem_grp_start[element]
+            lefts = plan.rows_sorted[start:start + plan.elem_k[element]]
+            size_eligible += int(
+                (counts[lefts] >= plan.need[plan.elem_row[element]]).sum())
+        assert 0 < verified < generated < size_eligible
+
+
 class TestForkParallelism:
     def test_fork_processes_match_in_process(self):
         records = generate("paper", scale=0.15, seed=3).records
@@ -171,8 +225,8 @@ class TestBuildCandidateSetRouting:
         )
         for kwargs in (
             dict(shards=3),
-            dict(kernel_backend="vectorized"),
-            dict(kernel_backend="scalar", shards=2),
+            dict(),
+            dict(shards=2),
             dict(shards=4),
         ):
             result = build_candidate_set(
@@ -205,15 +259,13 @@ class TestBuildCandidateSetRouting:
             build_candidate_set(recs("a", "b"), reference_similarity(),
                                 shards=2)
 
-    def test_reference_engine_rejects_vectorized_backend(self):
-        with pytest.raises(ValueError, match="reference loop"):
-            build_candidate_set(recs("a", "b"), reference_similarity(),
-                                kernel_backend="vectorized")
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            build_candidate_set(recs("a", "b"), jaccard_similarity_function(),
-                                kernel_backend="simd")
+        """There is one verification kernel: no backend selector."""
+        for value in ("auto", "vectorized", "scalar", "simd"):
+            with pytest.raises(TypeError, match="kernel_backend"):
+                build_candidate_set(recs("a", "b"),
+                                    jaccard_similarity_function(),
+                                    kernel_backend=value)
 
 
 class TestShardedJoinValidation:

@@ -15,12 +15,10 @@ from repro.experiments.chaos import (
     run_generation_process_faults,
     run_runtime_process_faults,
 )
-from repro.similarity.kernels import numpy_available
 
 pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods()
-    or not numpy_available(),
-    reason="the sharded supervised join requires fork and numpy",
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the sharded supervised join requires fork",
 )
 
 

@@ -17,7 +17,6 @@ from repro.similarity.composite import (
     SET_METRIC_FUNCTIONS,
     jaccard_similarity_function,
 )
-from repro.similarity.kernels import numpy_available
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -61,8 +60,6 @@ class TestScoreParallelState:
         assert parallel_module._FORK_STATE == {}
 
 
-@pytest.mark.skipif(not numpy_available(),
-                    reason="the sharded join requires numpy")
 class TestShardJoinState:
     @staticmethod
     def _join(shard_module, **kwargs):

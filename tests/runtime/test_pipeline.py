@@ -162,6 +162,31 @@ class TestBarrierParity:
             assert (_identity_view(outcome)
                     == _identity_view(outcomes[0]))
 
+    def test_streamed_pruning_span_matches_barrier(self):
+        """The streamed join reports the barrier join's pruning span:
+        same survivors and the same work counters at one shard count."""
+        def pruning_attrs(obs):
+            spans = list(obs.tracer.roots)
+            while spans:
+                span = spans.pop()
+                if span.name == "pruning":
+                    return span.attrs
+                spans.extend(span.children)
+            raise AssertionError("no pruning span")
+
+        barrier_obs = ObsContext()
+        build_candidate_set(_DATASET.records, jaccard_similarity_function(),
+                            threshold=PRUNING_THRESHOLD, shards=4,
+                            obs=barrier_obs)
+        streamed_obs = ObsContext()
+        run_pipeline(AnswerFile(_DATASET.gold, _WORKERS),
+                     records=_DATASET.records,
+                     similarity=jaccard_similarity_function(),
+                     threshold=PRUNING_THRESHOLD, pruning_shards=4,
+                     seed=SEED, obs=streamed_obs)
+        assert pruning_attrs(streamed_obs) == pruning_attrs(barrier_obs)
+        assert pruning_attrs(barrier_obs)["verified_pairs"] > 0
+
     def test_pre_pruned_entry_matches_barrier(self):
         """The record_ids+candidates entry shape (pruning already done)
         dispatches every component immediately and still matches."""

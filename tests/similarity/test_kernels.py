@@ -1,6 +1,6 @@
 """Vectorized kernel equivalence: numpy batch scores vs scalar metrics.
 
-The vectorized backend is an optimization, not an approximation — for the
+The vectorized kernel is an optimization, not an approximation — for the
 four set metrics it must be *bit-for-bit* equal to the scalar functions
 (``token_jaccard``, ``qgram_jaccard``, ``token_cosine``, ...), including
 the empty-set conventions and [0, 1] clamping.  These tests pin that down
@@ -11,6 +11,7 @@ join's canonical token order exactly.
 
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,18 +20,12 @@ from repro.pruning.prefix_join import canonical_token_order
 from repro.similarity.hybrid import token_cosine, token_dice, token_overlap
 from repro.similarity.jaccard import qgram_jaccard, token_jaccard
 from repro.similarity.kernels import (
-    KERNEL_BACKENDS,
     EncodedRecords,
     TokenVocabulary,
     batch_text_scores,
-    numpy_available,
-    resolve_kernel_backend,
+    unique_sorted,
 )
 from repro.similarity.tokenize import token_set
-
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized kernels require numpy"
-)
 
 # Random text: lowercase words plus unicode (accents, CJK) and repeats.
 words = st.text(alphabet=string.ascii_lowercase + " ", max_size=40)
@@ -133,23 +128,15 @@ def test_encoded_records_roundtrip(texts):
         assert count == len(sets[record_id])
 
 
-def test_resolve_backend():
-    assert resolve_kernel_backend("auto") == "vectorized"
-    assert resolve_kernel_backend("vectorized") == "vectorized"
-    assert resolve_kernel_backend("scalar") == "scalar"
-    with pytest.raises(ValueError):
-        resolve_kernel_backend("simd")
-    assert KERNEL_BACKENDS == ("auto", "vectorized", "scalar")
-
-
-def test_resolve_backend_without_numpy(monkeypatch):
-    import repro.similarity.kernels as kernels
-
-    monkeypatch.setattr(kernels, "_np", None)
-    assert kernels.resolve_kernel_backend("auto") == "scalar"
-    assert kernels.resolve_kernel_backend("scalar") == "scalar"
-    with pytest.raises(ValueError, match="requires numpy"):
-        kernels.resolve_kernel_backend("vectorized")
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=-(2 ** 62), max_value=2 ** 62),
+                max_size=50))
+def test_unique_sorted_matches_np_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    expected = np.unique(keys)
+    got = unique_sorted(keys)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
 
 
 def test_batch_text_scores_validates():

@@ -4,6 +4,12 @@ import pytest
 
 from repro.cli import build_parser, main
 
+EVERY_COMMAND = [
+    ["datasets"], ["compare", "paper"], ["sweep-epsilon", "paper"],
+    ["sweep-threshold", "paper"], ["run", "paper"],
+    ["report", "paper"], ["replicate"],
+]
+
 
 class TestParser:
     def test_requires_command(self):
@@ -35,16 +41,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "product", "--method", "Nope"])
 
-    @pytest.mark.parametrize("argv", [
-        ["datasets"], ["compare", "paper"], ["sweep-epsilon", "paper"],
-        ["sweep-threshold", "paper"], ["run", "paper"],
-        ["report", "paper"], ["replicate"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
     def test_no_engine_selectors(self, argv):
         """Each phase has one production engine; no flag selects another."""
         for flag in ("--engine", "--pivot-engine", "--refine-engine"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv + [flag, "reference"])
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+    def test_no_kernel_backend_flag(self, argv):
+        """The prefix join has one verification kernel; no flag picks it."""
+        for value in ("auto", "vectorized", "scalar"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["--kernel-backend", value])
+        assert not hasattr(build_parser().parse_args(argv), "kernel_backend")
 
 
 class TestCommands:
