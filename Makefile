@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-quick bench-smoke bench-pruning bench-refine bench-pivot bench-scale bench-scale-smoke bench-pipeline chaos-smoke chaos-runtime trace-smoke examples lint clean
+.PHONY: install test bench bench-quick bench-smoke bench-pruning bench-refine bench-pivot bench-scale bench-scale-smoke chaos-smoke chaos-runtime trace-smoke examples lint clean
 
 install:
 	python setup.py develop
@@ -54,25 +54,12 @@ bench-scale:
 bench-scale-smoke:
 	REPRO_BENCH_SCALE_TIERS=10000 python benchmarks/bench_scale.py
 
-# Pipelined-executor smoke: barrier vs component-streaming pipelined
-# execution of the same sharded configuration under a simulated crowd
-# latency model, asserting byte-identical candidate sets and final
-# clusterings and reporting pipeline_makespan_speedup /
-# pipeline_overlap_efficiency.  Runs a reduced 20k tier for CI runners
-# (the committed BENCH_endtoend.json carries the full 100k tier);
-# regenerates BENCH_endtoend.json at the repo root.
-bench-pipeline:
-	REPRO_BENCH_STAGES=pipelined REPRO_BENCH_PIPELINE_RECORDS=20000 \
-		REPRO_BENCH_PIPELINE_WORKERS=4 \
-		python benchmarks/bench_endtoend.py
-
 # Fault-injection smoke: every pipeline family must terminate under the
 # default hostile crowd (abandonment, timeouts, spammers, early quorum),
 # the supervised worker pools must stay byte-identical under process
 # faults (kills, delays, poison chunks) for the sharded pruning join,
-# the sharded cluster-generation engine, the sharded refinement engine,
-# and the component-streaming pipelined executor (also checked against
-# barrier execution), and all three phase checkpoints (pruning /
+# the sharded cluster-generation engine and the sharded refinement
+# engine, and all three phase checkpoints (pruning /
 # generation / refinement) must kill-resume byte-identically.
 # Regenerates CHAOS_smoke.json at the repo root.
 chaos-smoke:
@@ -81,8 +68,7 @@ chaos-smoke:
 
 # Runtime-focused chaos: the process-fault matrix (worker kills / task
 # delays / poison chunks on sharded 10k pruning, sharded cluster
-# generation, sharded refinement, and the pipelined executor) and the
-# checkpoint kill-resume
+# generation and sharded refinement) and the checkpoint kill-resume
 # checks for all three phases, with the crowd-side sweep cut to a
 # single seed.  Writes CHAOS_runtime.json (not tracked).
 chaos-runtime:

@@ -11,30 +11,6 @@ Standalone (no pytest)::
 Environment knobs:
     REPRO_BENCH_SCALE          dataset scale (default 1.0)
     REPRO_BENCH_PARALLEL       pruning worker processes (default 0)
-    REPRO_BENCH_STAGES         comma list of stage groups to run:
-                               ``classic`` (the per-dataset stages above),
-                               ``pipelined`` (the makespan comparison
-                               below), or both (the default)
-    REPRO_BENCH_PIPELINE_RECORDS    pipelined-stage record count
-                                    (default 100000)
-    REPRO_BENCH_PIPELINE_LATENCY    simulated crowd-round latency in
-                                    seconds (default 0.002; must be > 0
-                                    for an honest makespan)
-    REPRO_BENCH_PIPELINE_WORKERS    shared-pool worker processes
-                                    (default 8)
-    REPRO_BENCH_PIPELINE_SHARDS     pruning shards (default 32)
-    REPRO_BENCH_PIPELINE_CONFUSION  largescale confusion rate
-                                    (default 0.25 — the heavier crowd
-                                    workload widens the overlap window
-                                    the pipeline exploits)
-
-The ``pipelined`` stage times the same 100k-tier largescale workload
-twice under an identical simulated crowd-latency model — barrier sharded
-execution (pruning, then sharded pivot, then sharded refine) vs the
-component-streaming pipeline — asserts the outputs byte-identical, and
-emits ``pipeline_makespan_speedup`` (barrier / pipelined wall-clock) and
-``pipeline_overlap_efficiency`` (the fraction of the shorter
-overlappable phase the pipeline actually hid).
 """
 
 from __future__ import annotations
@@ -66,171 +42,13 @@ SEED = 1
 SETTING = "3w"
 DATASETS = ("paper", "restaurant", "product")
 OUTPUT = REPO_ROOT / "BENCH_endtoend.json"
-STAGES = tuple(
-    part.strip()
-    for part in os.environ.get("REPRO_BENCH_STAGES",
-                               "classic,pipelined").split(",")
-    if part.strip()
-)
-PIPELINE_RECORDS = int(os.environ.get("REPRO_BENCH_PIPELINE_RECORDS",
-                                      "100000"))
-PIPELINE_LATENCY = float(os.environ.get("REPRO_BENCH_PIPELINE_LATENCY",
-                                        "0.002"))
-PIPELINE_WORKERS = int(os.environ.get("REPRO_BENCH_PIPELINE_WORKERS", "8"))
-PIPELINE_SHARDS = int(os.environ.get("REPRO_BENCH_PIPELINE_SHARDS", "32"))
-PIPELINE_CONFUSION = float(os.environ.get("REPRO_BENCH_PIPELINE_CONFUSION",
-                                          "0.25"))
-
-
-def _in_fork(fn):
-    """Run ``fn`` in a forked child process and return its result.
-
-    Each timed side of the makespan comparison gets a pristine process:
-    neither side's measurement is taxed by the other side's leftover
-    heap (fork page-faults, GC pressure), and the order the two sides
-    run in stops mattering.
-    """
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-
-    def _target() -> None:
-        try:
-            payload = ("ok", fn())
-        except BaseException as exc:
-            payload = ("err", f"{type(exc).__name__}: {exc}")
-        sender.send(payload)
-        sender.close()
-
-    proc = ctx.Process(target=_target)
-    proc.start()
-    sender.close()
-    status, payload = receiver.recv()
-    proc.join()
-    if status != "ok":
-        raise RuntimeError(f"benchmark stage failed in fork: {payload}")
-    return payload
-
-
-def pipelined_stage(runs: dict) -> dict:
-    """Barrier vs pipelined makespan under one crowd-latency model."""
-    from repro.core.acd import run_acd
-    from repro.crowd.cache import AnswerFile
-    from repro.crowd.latency import SimulatedLatencyAnswers
-    from repro.crowd.worker import WorkerPool
-    from repro.datasets.registry import generate
-    from repro.experiments.configs import PRUNING_THRESHOLD, difficulty_model
-    from repro.pruning.candidate import build_candidate_set
-    from repro.runtime.pipeline import run_pipeline
-    from repro.similarity.composite import jaccard_similarity_function
-
-    dataset = generate("largescale", scale=PIPELINE_RECORDS / 10_000,
-                       seed=SEED, confusion=PIPELINE_CONFUSION)
-    crowd = WorkerPool(difficulty=difficulty_model("largescale"),
-                       num_workers=3)
-
-    def latency_answers():
-        # Fresh per run: AnswerFile resolves each pair from a pair-seeded
-        # RNG, so both executions see byte-identical crowd answers; the
-        # wrapper makes each worker-side crowd round cost real wall-clock.
-        return SimulatedLatencyAnswers(AnswerFile(dataset.gold, crowd),
-                                       PIPELINE_LATENCY)
-
-    def barrier_side():
-        side = StageTimings()
-        with side.stage("barrier_pruning"):
-            candidates = build_candidate_set(
-                dataset.records, jaccard_similarity_function(),
-                threshold=PRUNING_THRESHOLD, shards=PIPELINE_SHARDS,
-                parallel=PIPELINE_WORKERS,
-            )
-        with side.stage("barrier_acd"):
-            barrier = run_acd(
-                dataset.record_ids, candidates, latency_answers(),
-                seed=SEED, pivot_shards=64,
-                pivot_processes=PIPELINE_WORKERS,
-                refine_shards=64, refine_processes=PIPELINE_WORKERS,
-            )
-        side.record_peak_rss("barrier_peak_rss_bytes")
-        return side, (candidates.pairs, barrier.clustering.to_state(),
-                      barrier.stats.snapshot(),
-                      list(barrier.stats.batch_sizes))
-
-    def pipelined_side():
-        side = StageTimings()
-        with side.stage("pipelined"):
-            piped = run_pipeline(
-                latency_answers(), records=dataset.records,
-                similarity=jaccard_similarity_function(),
-                threshold=PRUNING_THRESHOLD,
-                pruning_shards=PIPELINE_SHARDS,
-                workers=PIPELINE_WORKERS, seed=SEED, timings=side,
-            )
-        side.record_peak_rss()
-        meta = dict(candidate_pairs=len(piped.candidates),
-                    clusters=len(piped.result.clustering),
-                    pool=piped.report.as_dict())
-        return side, (piped.candidates.pairs,
-                      piped.result.clustering.to_state(),
-                      piped.result.stats.snapshot(),
-                      list(piped.result.stats.batch_sizes)), meta
-
-    barrier_timings, barrier_fp = _in_fork(barrier_side)
-    pipelined_timings, piped_fp, piped_meta = _in_fork(pipelined_side)
-
-    assert piped_fp[0] == barrier_fp[0], \
-        "pipelined pruning must match the barrier candidate set"
-    assert piped_fp[1] == barrier_fp[1], \
-        "pipelined clustering must be byte-identical to barrier"
-    assert piped_fp[2] == barrier_fp[2], \
-        "pipelined crowd stats must be byte-identical to barrier"
-    assert piped_fp[3] == barrier_fp[3], \
-        "pipelined crowd rounds must be byte-identical to barrier"
-
-    timings = StageTimings()
-    for name, seconds in {**barrier_timings.as_dict(),
-                          **pipelined_timings.as_dict()}.items():
-        timings.add(name, seconds)
-    for name, value in {**barrier_timings.meters,
-                        **pipelined_timings.meters}.items():
-        timings.set_meter(name, value)
-
-    prune_s = timings.seconds("barrier_pruning")
-    acd_s = timings.seconds("barrier_acd")
-    barrier_s = prune_s + acd_s
-    pipelined_s = timings.seconds("pipelined")
-    speedup = barrier_s / pipelined_s if pipelined_s > 0 else 1.0
-    # The pipeline can hide at most the shorter of the two phases it
-    # overlaps (pruning compute vs the crowd phases); efficiency is the
-    # fraction of that bound it actually hid.
-    hidable = min(prune_s, acd_s)
-    efficiency = ((barrier_s - pipelined_s) / hidable
-                  if hidable > 0 else 0.0)
-    runs["pipelined"] = run_entry(
-        timings,
-        records=len(dataset.record_ids),
-        workers=PIPELINE_WORKERS,
-        pruning_shards=PIPELINE_SHARDS,
-        round_latency_s=PIPELINE_LATENCY,
-        confusion=PIPELINE_CONFUSION,
-        **piped_meta,
-    )
-    print(f"pipelined: barrier {barrier_s:.3f}s "
-          f"(pruning {prune_s:.3f}s + acd {acd_s:.3f}s), "
-          f"pipelined {pipelined_s:.3f}s, speedup {speedup:.2f}x, "
-          f"overlap efficiency {efficiency:.2f}")
-    return {
-        "pipeline_makespan_speedup": round(speedup, 2),
-        "pipeline_overlap_efficiency": round(efficiency, 2),
-    }
 
 
 def main() -> int:
     runs = {}
     plain_total = 0.0
     traced_total = 0.0
-    for dataset_name in (DATASETS if "classic" in STAGES else ()):
+    for dataset_name in DATASETS:
         timings = StageTimings()
         with timings.stage("pruning"):
             instance = prepare_instance(
@@ -270,29 +88,18 @@ def main() -> int:
             f"F1 {result.f1:.3f}"
         )
 
-    derived = {}
-    if "classic" in STAGES:
-        overhead_pct = ((traced_total - plain_total) / plain_total * 100.0
-                        if plain_total > 0 else 0.0)
-        derived.update(trace_overhead_pct=round(overhead_pct, 2))
-        print(f"trace overhead: {overhead_pct:+.2f}% "
-              f"(plain {plain_total:.3f}s, traced {traced_total:.3f}s)")
-    if "pipelined" in STAGES:
-        derived.update(pipelined_stage(runs))
+    overhead_pct = ((traced_total - plain_total) / plain_total * 100.0
+                    if plain_total > 0 else 0.0)
+    print(f"trace overhead: {overhead_pct:+.2f}% "
+          f"(plain {plain_total:.3f}s, traced {traced_total:.3f}s)")
 
     payload = bench_payload(
         "endtoend",
         config={"scale": SCALE, "seed": SEED,
                 "parallel": PARALLEL, "setting": SETTING,
-                "datasets": list(DATASETS),
-                "stages": list(STAGES),
-                "pipeline_records": PIPELINE_RECORDS,
-                "pipeline_latency_s": PIPELINE_LATENCY,
-                "pipeline_workers": PIPELINE_WORKERS,
-                "pipeline_shards": PIPELINE_SHARDS,
-                "pipeline_confusion": PIPELINE_CONFUSION},
+                "datasets": list(DATASETS)},
         runs=runs,
-        derived=derived,
+        derived={"trace_overhead_pct": round(overhead_pct, 2)},
     )
     write_bench_json(OUTPUT, payload)
     print(f"wrote {OUTPUT}")

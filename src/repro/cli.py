@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "N)")
     run.add_argument("--pivot-processes", type=int, default=0, metavar="N",
                      help="worker processes for the pivot shard tasks "
-                          "(<= 1 runs them in-process; ignored without "
-                          "--pivot-shards)")
+                          "(<= 1 runs them in-process; more than one "
+                          "requires --pivot-shards N or auto)")
     run.add_argument("--refine-shards", type=_shards_value, default=0,
                      metavar="N",
                      help="shard refinement: split the clustering into "
@@ -172,18 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "byte-identical for every N)")
     run.add_argument("--refine-processes", type=int, default=0, metavar="N",
                      help="worker processes for the refine shard tasks "
-                          "(<= 1 runs them in-process; ignored without "
-                          "--refine-shards)")
-    run.add_argument("--pipeline", action="store_true",
-                     help="run ACD's crowd phases as a component-streaming "
-                          "DAG over one shared worker pool, overlapping "
-                          "the pruning/pivot/refine barriers (output is "
-                          "byte-identical to barrier execution; replaces "
-                          "--pivot-shards/--refine-shards)")
-    run.add_argument("--pipeline-workers", type=int, default=0, metavar="N",
-                     help="worker processes for the shared pipeline pool "
-                          "(<= 1 runs the DAG inline; ignored without "
-                          "--pipeline)")
+                          "(<= 1 runs them in-process; more than one "
+                          "requires --refine-shards N or auto)")
     _add_setting(run)
     _add_common(run)
 
@@ -288,12 +278,18 @@ def _cmd_sweep_threshold(args: argparse.Namespace) -> None:
 
 
 def _check_run_paths(args: argparse.Namespace) -> Optional[Path]:
-    """Fail fast on invalid --journal/--trace/--manifest/--output combos.
+    """Fail fast on invalid flag combinations, before pruning runs.
 
-    Returns the resolved manifest path (``None`` when not tracing).  Every
-    artifact must land in a distinct file — a journal silently overwritten
-    by the trace stream (or vice versa) is unrecoverable.
+    Worker processes need shards to run on.  Returns the resolved
+    manifest path (``None`` when not tracing).  Every artifact must land
+    in a distinct file — a journal silently overwritten by the trace
+    stream (or vice versa) is unrecoverable.
     """
+    for phase in ("pivot", "refine"):
+        if (getattr(args, f"{phase}_processes") > 1
+                and getattr(args, f"{phase}_shards") == 0):
+            raise SystemExit(f"--{phase}-processes requires "
+                             f"--{phase}-shards N or auto")
     if args.resume and not (args.journal or args.checkpoint_dir):
         raise SystemExit(
             "--resume requires --journal PATH and/or --checkpoint-dir DIR"
@@ -384,8 +380,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         "pivot_processes": args.pivot_processes,
         "refine_shards": args.refine_shards,
         "refine_processes": args.refine_processes,
-        "pipeline": args.pipeline,
-        "pipeline_workers": args.pipeline_workers,
         "parallel": args.parallel,
         "shards": args.shards,
     }
@@ -461,9 +455,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
                             pivot_processes=args.pivot_processes,
                             refine_shards=args.refine_shards,
                             refine_processes=args.refine_processes,
-                            checkpoints=checkpoints, resume=args.resume,
-                            pipeline=args.pipeline,
-                            pipeline_workers=args.pipeline_workers)
+                            checkpoints=checkpoints, resume=args.resume)
     finally:
         if journaled is not None:
             journaled.close()

@@ -82,8 +82,6 @@ def run_acd(
     refine_processes: int = 0,
     checkpoints: Optional[CheckpointStore] = None,
     resume: bool = False,
-    pipeline: bool = False,
-    pipeline_workers: int = 0,
 ) -> ACDResult:
     """Run the full ACD pipeline on a pre-pruned instance.
 
@@ -129,7 +127,8 @@ def run_acd(
             and falls back to the classic loop wherever sharding does
             not apply.
         pivot_processes: Worker processes for the shard tasks (``<= 1``
-            runs them in-process; ignored without ``pivot_shards``).
+            runs them in-process).  More than one requires
+            ``pivot_shards`` >= 1 or ``"auto"``.
         refine_shards: When >= 1, phase 3 runs the sharded engine of
             :mod:`repro.core.refine_shard` — connected components of the
             candidate + cluster graph refined independently with a
@@ -138,8 +137,8 @@ def run_acd(
             a pair-deterministic answer source.  ``"auto"`` behaves as
             for ``pivot_shards``.
         refine_processes: Worker processes for the refine shard tasks
-            (``<= 1`` runs them in-process; ignored without
-            ``refine_shards``).
+            (``<= 1`` runs them in-process).  More than one requires
+            ``refine_shards`` >= 1 or ``"auto"``.
         checkpoints: Optional
             :class:`~repro.runtime.checkpoint.CheckpointStore`.  When
             attached, the complete cluster-generation state (clustering,
@@ -147,16 +146,6 @@ def run_acd(
             snapshotted atomically after phase 2 — the ``generation``
             checkpoint — and the finished pipeline state after phase 3 —
             the ``refinement`` checkpoint.
-        pipeline: Run both crowd phases as a component-streaming DAG
-            over one shared worker pool
-            (:func:`repro.runtime.pipeline.run_pipeline`) instead of
-            barrier-synchronized phases.  Byte-identical output;
-            requires ``parallel=True``, no ``max_refinement_pairs``, and
-            no per-phase shard knobs (the pipeline owns the component
-            decomposition).
-        pipeline_workers: Worker processes for the shared pipeline pool
-            (``<= 1`` runs the DAG inline; ignored without
-            ``pipeline``).
         resume: With ``checkpoints``, restore the deepest finished
             phase's checkpoint when one exists (and its recorded
             configuration matches the store's): a ``refinement``
@@ -168,36 +157,6 @@ def run_acd(
     Returns:
         The :class:`ACDResult`.
     """
-    if pipeline:
-        if not parallel:
-            raise ValueError(
-                "pipeline requires parallel=True: the sequential engines "
-                "have no component decomposition to stream"
-            )
-        if max_refinement_pairs is not None:
-            raise ValueError(
-                "pipeline does not support max_refinement_pairs "
-                "(a global sequential pair cap cannot decompose across "
-                "components) — run with pipeline disabled"
-            )
-        if pivot_shards or refine_shards:
-            raise ValueError(
-                "pipeline owns the component decomposition: drop "
-                "pivot_shards/refine_shards when pipeline=True"
-            )
-        # Imported lazily: pipeline.py imports this module at its top.
-        from repro.runtime.pipeline import run_pipeline
-
-        return run_pipeline(
-            answers, record_ids=list(record_ids), candidates=candidates,
-            workers=pipeline_workers, epsilon=epsilon,
-            threshold_divisor=threshold_divisor, num_buckets=num_buckets,
-            seed=seed, permutation=permutation, refine=refine,
-            pairs_per_hit=pairs_per_hit, ranking=ranking,
-            journal_path=journal_path, obs=obs, checkpoints=checkpoints,
-            resume=resume,
-        ).result
-
     if journal_path is not None:
         journaled = JournalingAnswerFile(answers, journal_path)
         try:
@@ -218,12 +177,21 @@ def run_acd(
             journaled.close()
 
     # Fail fast on sharded config errors *before* the (possibly expensive)
-    # generation phase runs, with the same messages pc_refine itself
-    # raises.  "auto" is not an explicit request: the phase functions
-    # resolve it to the classic loop wherever sharding does not apply.
+    # generation phase runs, with the same messages pc_pivot and
+    # pc_refine themselves raise.  "auto" is not an explicit request: the
+    # phase functions resolve it to the classic loop wherever sharding
+    # does not apply, and then run without worker processes.
     explicit_pivot_shards = not isinstance(pivot_shards, str) and pivot_shards
     explicit_refine_shards = (not isinstance(refine_shards, str)
                               and refine_shards)
+    if parallel and pivot_processes > 1 and pivot_shards == 0:
+        raise ValueError(
+            "pivot processes require pivot shards (pass shards >= 1)"
+        )
+    if parallel and refine and refine_processes > 1 and refine_shards == 0:
+        raise ValueError(
+            "refine processes require refine shards (pass shards >= 1)"
+        )
     if explicit_pivot_shards and not parallel:
         raise ValueError(
             "pivot_shards requires parallel=True: sequential Crowd-Pivot "

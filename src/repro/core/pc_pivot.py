@@ -149,7 +149,8 @@ def pc_pivot(
             Requires a pair-deterministic answer source.  ``0``
             (default) keeps the classic single-graph loop.
         processes: Worker processes for the shard tasks (``<= 1`` runs
-            them in-process; ignored without ``shards``).
+            them in-process).  More than one requires ``shards`` >= 1
+            or ``"auto"``.
         supervisor_policy: Fault-handling knobs forwarded to the
             supervised worker pool (sharded mode only).
         fault_plan: Deterministic process-fault injection for chaos

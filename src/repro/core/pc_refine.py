@@ -495,7 +495,8 @@ def pc_refine(
             ``max_refinement_pairs`` cap.  ``0`` (default) keeps the
             classic single-clustering loop.
         processes: Worker processes for the shard tasks (``<= 1`` runs
-            them in-process; ignored without ``shards``).
+            them in-process).  More than one requires ``shards`` >= 1
+            or ``"auto"``.
         supervisor_policy: Fault-handling knobs forwarded to the
             supervised worker pool (sharded mode only).
         fault_plan: Deterministic process-fault injection for chaos

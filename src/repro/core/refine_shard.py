@@ -66,7 +66,7 @@ way.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.clustering import Clustering
 from repro.core.evaluation_cache import EvaluationCache
@@ -251,15 +251,15 @@ def build_refine_partition(
 ):
     """Partition the refinement problem into per-component worker inputs.
 
-    The shared coordination prologue of the sharded engine and the
-    pipelined executor: splits the record set over candidate pairs plus
-    per-cluster chain edges, freezes the global histogram estimator and
-    the single budget ``T``, and assembles each multi-vertex component's
-    worker payload in global order.  Returns ``(components, multi,
-    multi_components, estimator, budget)`` where ``multi`` indexes the
-    multi-vertex entries of ``components`` and ``multi_components[i]``
-    is the ``(cluster_entries, pairs, scores, known)`` payload for
-    component ``multi[i]``.
+    The coordination prologue of the sharded engine: splits the record
+    set over candidate pairs plus per-cluster chain edges, freezes the
+    global histogram estimator and the single budget ``T``, and
+    assembles each multi-vertex component's worker payload in global
+    order.  Returns ``(components, multi, multi_components, estimator,
+    budget)`` where ``multi`` indexes the multi-vertex entries of
+    ``components`` and ``multi_components[i]`` is the
+    ``(cluster_entries, pairs, scores, known)`` payload for component
+    ``multi[i]``.
     """
     ids = sorted(clustering.record_ids())
     # Candidate edges + per-cluster chain edges: components of this
@@ -270,25 +270,6 @@ def build_refine_partition(
         members = sorted(clustering.members(cluster_id))
         edges.extend(zip(members, members[1:]))
     components = connected_components(ids, edges)
-    prepared = prepare_refine_partition(components, candidates)
-    return finish_refine_partition(prepared, clustering, candidates,
-                                   oracle, num_records,
-                                   threshold_divisor, num_buckets)
-
-
-def prepare_refine_partition(components, candidates: CandidateSet):
-    """Index a component partition: the clustering-independent prefix.
-
-    Everything here depends only on the candidate set and the component
-    list, so a caller that already knows the partition — the pipelined
-    executor reuses the candidate-graph components, which equal the
-    refine components whenever every cluster sits inside one candidate
-    component (always true for pivot-produced clusterings: pivot never
-    clusters across candidate edges, and the chain edges above then
-    merge nothing) — can run this while the generation phase is still
-    draining and pay only :func:`finish_refine_partition` at the
-    barrier.
-    """
     multi = [index for index, members in enumerate(components)
              if len(members) > 1]
     comp_of: Dict[int, int] = {}
@@ -298,20 +279,7 @@ def prepare_refine_partition(components, candidates: CandidateSet):
     pairs_of: Dict[int, List[Pair]] = {index: [] for index in multi}
     for pair in candidates.pairs:
         pairs_of[comp_of[pair[0]]].append(pair)
-    scores_of = {
-        index: {pair: candidates.machine_scores[pair]
-                for pair in pairs_of[index]}
-        for index in multi
-    }
-    return components, multi, comp_of, pairs_of, scores_of
 
-
-def finish_refine_partition(prepared, clustering: Clustering,
-                            candidates: CandidateSet, oracle: CrowdOracle,
-                            num_records: int, threshold_divisor: float,
-                            num_buckets: int):
-    """Clustering-dependent suffix of :func:`build_refine_partition`."""
-    components, multi, comp_of, pairs_of, scores_of = prepared
     # Frozen global coordination state: one histogram from the shared
     # phase-2 answer set, one budget T from the entry-state counts.
     estimator = build_estimator(candidates, oracle,
@@ -349,7 +317,8 @@ def finish_refine_partition(prepared, clustering: Clustering,
 
     multi_components = [
         (tuple(entries_of[index]), tuple(pairs_of[index]),
-         scores_of[index], tuple(known_of[index]))
+         {pair: candidates.machine_scores[pair] for pair in pairs_of[index]},
+         tuple(known_of[index]))
         for index in multi
     ]
     return components, multi, multi_components, estimator, budget

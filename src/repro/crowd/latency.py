@@ -102,81 +102,6 @@ class LatencyModel:
         return total
 
 
-class _SleepingForkSource:
-    """Worker-side view of :class:`SimulatedLatencyAnswers`.
-
-    Implements ``confidence_batch`` so a worker's local oracle delivers
-    each crowd round in one call — and that call sleeps ``round_seconds``
-    once, the wall-clock cost of posting the round and waiting for the
-    crowd.  Answers themselves come from the wrapped source, so a
-    latency-injected run resolves byte-identical confidences.
-    """
-
-    pair_deterministic = True
-
-    def __init__(self, inner, round_seconds: float):
-        self._inner = inner
-        self.round_seconds = round_seconds
-
-    @property
-    def num_workers(self) -> int:
-        return self._inner.num_workers
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        return self._inner.confidence(record_a, record_b)
-
-    def confidence_batch(self, pairs):
-        import time
-
-        time.sleep(self.round_seconds)
-        return {pair: self._inner.confidence(*pair) for pair in pairs}
-
-
-class SimulatedLatencyAnswers:
-    """Inject real wall-clock crowd latency into a simulated answer source.
-
-    The iteration counts the paper reports translate to wall clock only
-    if every crowd round actually *takes time*; this wrapper makes the
-    makespan benchmarks honest.  Worker processes see
-    :attr:`fork_source` — a view whose ``confidence_batch`` sleeps
-    ``round_seconds`` per crowd round — so concurrently-active
-    components wait out their rounds in parallel, exactly like
-    concurrently-posted HIT batches.  The wrapper itself (what the
-    parent's merged-round replay uses) deliberately does **not**
-    implement ``confidence_batch``: replayed rounds are primed memo
-    lookups and must stay free, or latency would be double-counted.
-
-    Answers delegate to the wrapped source, so latency-injected and
-    plain runs are byte-identical in everything but elapsed time.
-    """
-
-    def __init__(self, answers, round_seconds: float):
-        if round_seconds < 0:
-            raise ValueError(
-                f"round_seconds must be >= 0, got {round_seconds}")
-        self._answers = answers
-        self.round_seconds = round_seconds
-
-    @property
-    def pair_deterministic(self) -> bool:
-        return bool(getattr(self._answers, "pair_deterministic", False))
-
-    @property
-    def num_workers(self) -> int:
-        return self._answers.num_workers
-
-    def confidence(self, record_a: int, record_b: int) -> float:
-        return self._answers.confidence(record_a, record_b)
-
-    def prime(self, answers) -> None:
-        self._answers.prime(answers)
-
-    @property
-    def fork_source(self) -> _SleepingForkSource:
-        inner = getattr(self._answers, "fork_source", self._answers)
-        return _SleepingForkSource(inner, self.round_seconds)
-
-
 def format_duration(seconds: float) -> str:
     """Human formatting: '2h 14m', '53m', '41s'."""
     if seconds < 60:

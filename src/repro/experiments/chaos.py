@@ -10,11 +10,8 @@ Two fault surfaces are exercised:
   (:mod:`repro.runtime.supervisor`) under deterministic worker kills,
   task delays, and poison chunks at the 10k-record tier, for sharded
   pruning, the sharded generation pool (per-shard PC-Pivot with
-  cross-shard merge), the sharded refinement pool, and the
-  component-streaming pipelined executor
-  (:mod:`repro.runtime.pipeline` — the full overlap DAG, compared
-  against barrier execution as well), plus phase-checkpoint
-  kill-resume checks
+  cross-shard merge) and the sharded refinement pool, plus
+  phase-checkpoint kill-resume checks
   (:mod:`repro.runtime.checkpoint`): a run killed after a completed
   phase must resume from the snapshot and finish byte-identical to an
   uninterrupted run.
@@ -404,111 +401,6 @@ def run_refine_process_faults(
     return results
 
 
-def _pipeline_result_fingerprint(result) -> tuple:
-    """The byte-identity key of a pipelined ACD run (cluster ids
-    included — the pipelined contract is id-exact, not just
-    partition-exact)."""
-    return (
-        tuple(sorted((key, tuple(map(tuple, value))
-                      if isinstance(value, list) else value)
-                     for key, value in result.clustering.to_state().items())),
-        tuple(sorted(result.stats.snapshot().items())),
-        tuple(result.stats.batch_sizes),
-        tuple(sorted(result.generation_stats.items())),
-        tuple(sorted(result.refinement_stats.items())),
-    )
-
-
-def run_pipeline_process_faults(
-    records: int = 10_000,
-    seed: int = 0,
-    shards: int = 8,
-    workers: int = 4,
-    faults_per_kind: int = 2,
-) -> List[Dict[str, object]]:
-    """The pipelined-executor fault matrix: the full overlap DAG under chaos.
-
-    Runs the component-streaming pipelined executor
-    (:func:`repro.runtime.pipeline.run_pipeline`) end to end — streamed
-    pruning, sealed-component pivot dispatch, shared-pool refinement —
-    over a *confused* ``records``-sized largescale population once
-    fault-free and once per fault kind in
-    :data:`RUNTIME_PROCESS_FAULTS`, asserting every fault schedule
-    leaves the final clustering (cluster ids included), crowd stats, and
-    phase stats byte-identical to the fault-free pipelined run, and that
-    the fault-free pipelined run is itself byte-identical to barrier
-    sharded execution of the same configuration.
-    """
-    from repro.crowd.cache import AnswerFile
-    from repro.crowd.worker import WorkerPool
-    from repro.datasets.largescale import BASE_RECORDS
-    from repro.obs import ObsContext
-    from repro.runtime.faults import ProcessFaultPlan
-    from repro.runtime.pipeline import run_pipeline
-    from repro.runtime.supervisor import SupervisorPolicy
-
-    dataset = generate("largescale", scale=records / BASE_RECORDS, seed=seed,
-                       confusion=0.25)
-    crowd = WorkerPool(difficulty=difficulty_model("largescale"),
-                       num_workers=3)
-    policy = SupervisorPolicy(backoff_base_s=0.01)
-    similarity = jaccard_similarity_function()
-
-    def run(fault_plan=None, obs=None):
-        # AnswerFile resolves each pair from a pair-seeded RNG, so a
-        # fresh instance per run replays identical answers.
-        out = run_pipeline(
-            AnswerFile(dataset.gold, crowd),
-            records=dataset.records, similarity=similarity,
-            threshold=PRUNING_THRESHOLD, pruning_shards=shards,
-            workers=workers, seed=seed,
-            supervisor_policy=policy, fault_plan=fault_plan, obs=obs,
-        )
-        return _pipeline_result_fingerprint(out.result), out
-
-    reference, reference_out = run()
-    barrier_candidates = build_candidate_set(
-        dataset.records, similarity, threshold=PRUNING_THRESHOLD,
-        shards=shards, parallel=workers,
-    )
-    barrier = run_acd(dataset.record_ids, barrier_candidates,
-                      AnswerFile(dataset.gold, crowd), seed=seed,
-                      pivot_shards=shards, pivot_processes=workers,
-                      refine_shards=shards, refine_processes=workers)
-    barrier_identical = (
-        _pipeline_result_fingerprint(barrier) == reference
-        and _candidate_fingerprint(barrier_candidates)
-        == _candidate_fingerprint(reference_out.candidates)
-    )
-    plans = {
-        "kill": ProcessFaultPlan.sample(shards, seed=seed,
-                                        kills=faults_per_kind),
-        # The pipeline has no straggler re-dispatch by design (pivot and
-        # refine tasks sleep on crowd latency), so the delay schedule is
-        # ridden out rather than raced.
-        "delay": ProcessFaultPlan.sample(shards, seed=seed,
-                                         delays=faults_per_kind,
-                                         delay_seconds=0.6),
-        "poison": ProcessFaultPlan.sample(shards, seed=seed,
-                                          poisons=faults_per_kind),
-    }
-    results = []
-    for kind in RUNTIME_PROCESS_FAULTS:
-        obs = ObsContext()
-        fingerprint, _ = run(fault_plan=plans[kind], obs=obs)
-        results.append({
-            "check": "pipeline-fault",
-            "fault": kind,
-            "records": records,
-            "shards": shards,
-            "processes": workers,
-            "byte_identical": fingerprint == reference,
-            "barrier_identical": barrier_identical,
-            "runtime_counters": _runtime_counters(obs),
-        })
-    return results
-
-
 class _CountingAnswers:
     """Pass-through answer source counting fresh pair resolutions."""
 
@@ -676,12 +568,11 @@ def run_chaos_suite(
             (:func:`run_runtime_process_faults`), the generation-pool
             fault matrix (:func:`run_generation_process_faults`), the
             refinement-pool fault matrix
-            (:func:`run_refine_process_faults`), the pipelined-executor
-            fault matrix (:func:`run_pipeline_process_faults`), and the
-            checkpoint kill-resume checks
+            (:func:`run_refine_process_faults`), and the checkpoint
+            kill-resume checks
             (:func:`run_checkpoint_kill_resume`).
         runtime_records: Record count of the sharded tier the pruning,
-            generation, refinement, and pipelined fault matrices run at.
+            generation, and refinement fault matrices run at.
 
     Returns:
         A machine-readable summary: the fault knobs used, one record per
@@ -717,17 +608,12 @@ def run_chaos_suite(
         runtime_checks.extend(run_refine_process_faults(
             records=runtime_records, seed=min(seeds, default=0),
         ))
-        runtime_checks.extend(run_pipeline_process_faults(
-            records=runtime_records, seed=min(seeds, default=0),
-        ))
         runtime_checks.extend(run_checkpoint_kill_resume(
             dataset_name=dataset_name, scale=scale,
             seed=min(seeds, default=0),
         ))
     runtime_ok = all(
         check["byte_identical"]
-        # barrier parity is the pipelined executor's hard contract.
-        and check.get("barrier_identical", True)
         # classic_identical is advisory for refinement-fault checks —
         # sharded refinement guarantees cross-config identity, while
         # classic parity is empirical (see repro/core/refine_shard.py).

@@ -178,8 +178,6 @@ def run_method(
     refine_processes: int = 0,
     checkpoints=None,
     resume: bool = False,
-    pipeline: bool = False,
-    pipeline_workers: int = 0,
 ) -> MethodResult:
     """Run one method on an instance and measure it.
 
@@ -198,12 +196,12 @@ def run_method(
             PC-Pivot only; forwarded to :func:`~repro.core.acd.run_acd`).
             0 keeps the classic single-graph loop.
         pivot_processes: Worker processes for the shard tasks (<= 1 runs
-            them in-process; ignored without ``pivot_shards``).
+            them in-process; more than one requires ``pivot_shards``).
         refine_shards: Shard tasks for sharded refinement (ACD only;
             forwarded to :func:`~repro.core.acd.run_acd`).  0 keeps the
             classic single-clustering loop.
         refine_processes: Worker processes for the refine shard tasks
-            (<= 1 runs them in-process; ignored without
+            (<= 1 runs them in-process; more than one requires
             ``refine_shards``).
         checkpoints: Optional
             :class:`~repro.runtime.checkpoint.CheckpointStore` for
@@ -214,11 +212,6 @@ def run_method(
             checkpoint skips both crowd phases, a ``generation``
             checkpoint skips cluster generation (see
             :func:`~repro.core.acd.run_acd`).
-        pipeline: Run ACD's crowd phases as the component-streaming
-            pipeline (ACD / PC-Pivot only; forwarded to
-            :func:`~repro.core.acd.run_acd`).  Byte-identical output.
-        pipeline_workers: Worker processes for the shared pipeline pool
-            (ignored without ``pipeline``).
     """
     ids = instance.record_ids
 
@@ -233,7 +226,6 @@ def run_method(
             refine_shards=refine_shards,
             refine_processes=refine_processes,
             checkpoints=checkpoints, resume=resume,
-            pipeline=pipeline, pipeline_workers=pipeline_workers,
         )
         return _result(method, instance, result.clustering, result.stats)
 

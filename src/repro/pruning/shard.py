@@ -200,48 +200,6 @@ def _build_plan(
     )
 
 
-def record_shard_touch_masks(plan: _JoinPlan,
-                             num_shards: int) -> Dict[int, int]:
-    """Per-record bitmask of pruning shards that can emit incident pairs.
-
-    The join generates a pair only from a prefix token present in *both*
-    records' prefixes, and :func:`_join_shard` assigns that token's pairs
-    to shard ``token % num_shards``.  Record ``r``'s touch set is
-    therefore ``{token % num_shards for token in prefix(r) if token's
-    prefix posting has >= 2 records}``: a token appearing in only one
-    record's prefix can never pair it with anything, so it is dropped —
-    in practice most prefix tokens are such singletons (prefix filtering
-    deliberately picks the rarest tokens), and dropping them is what
-    makes the masks narrow enough for components to seal while later
-    shards still run.  (The partner-size and positional filters only
-    *remove* pairs, so the mask stays a safe over-approximation.)
-    Records with empty token sets — or whose prefix tokens are all
-    singletons — are absent from the result; callers treat them as mask
-    ``0`` (sealed immediately, which is exact: no future edge can touch
-    them).
-
-    The pipelined executor ORs these masks over union-find components to
-    decide when a component is *sealed* (see
-    :class:`repro.pruning.components.IncrementalComponents`).
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
-    # The members of the plan's shared postings (>= 2 entries) are its
-    # elements plus each such posting's head entry.
-    shard = plan.elem_token.astype(_np.int64) % num_shards
-    packed = unique_sorted(_np.concatenate((
-        plan.elem_row * num_shards + shard,
-        plan.rows_sorted[plan.elem_grp_start] * num_shards + shard,
-    )))
-    ids = plan.encoded.ids.tolist()
-    masks: Dict[int, int] = {}
-    for key in packed.tolist():
-        row, shard_index = divmod(key, num_shards)
-        record_id = ids[row]
-        masks[record_id] = masks.get(record_id, 0) | (1 << shard_index)
-    return masks
-
-
 def _process_element_batch(
     plan: _JoinPlan,
     element_indices,

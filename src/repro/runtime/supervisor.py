@@ -4,10 +4,9 @@ The raw ``multiprocessing.Pool`` the pruning layer used has a famous
 failure mode: an OOM-killed or segfaulted worker leaves ``Pool.map``
 hanging (or crashing) with no record of which chunk died.  This module is
 the replacement, and every parallel phase of ACD runs on it: the sharded
-pruning join, the PC-Pivot and PC-Refine component shards, and the
-component-streaming pipeline.  :class:`SupervisedPool` manages worker
-processes directly — one duplex pipe each — and supervises every
-dispatched task:
+pruning join and the PC-Pivot and PC-Refine component shards.
+:class:`SupervisedPool` manages worker processes directly — one duplex
+pipe each — and supervises every dispatched task:
 
 - **Crash detection.**  Worker process sentinels are part of the event
   loop; a dead worker (non-zero exitcode, broken pipe) is detected
@@ -28,12 +27,11 @@ dispatched task:
   result is byte-identical — the run completes, slower, never wrong.
 
 The pool is persistent: tasks are submitted as their inputs become
-available and collected in completion order, and :meth:`broadcast`
-extends the workers' fork-time module state with values that exist only
-after the fork.  :func:`supervised_map` is the one-barrier form — submit
-everything, collect by index.  Below two processes, or without the
-``fork`` start method, the pool runs inline in the parent (the latter
-reported through :func:`notify_parallel_fallback`).
+available and collected in completion order.  :func:`supervised_map` is
+the one-barrier form — submit everything, collect by index.  Below two
+processes, or without the ``fork`` start method, the pool runs inline in
+the parent (the latter reported through
+:func:`notify_parallel_fallback`).
 
 Every decision is observable: ``runtime.worker_crash`` /
 ``runtime.task_retry`` / ``runtime.straggler_redispatch`` /
@@ -41,6 +39,8 @@ Every decision is observable: ``runtime.worker_crash`` /
 ``runtime.degraded_serial`` / ``runtime.worker_respawn`` events on the
 attached :class:`~repro.obs.ObsContext`, matching ``runtime_*_total``
 metrics counters, and a :class:`RuntimeReport` returned to the caller.
+:func:`collect_reports` sums the reports of every map run inside it, for
+callers that reach the pools only through the phase functions.
 
 Determinism contract: workers, the inline path and the degraded path
 compute the same pure function, so the output of :func:`supervised_map`
@@ -56,9 +56,21 @@ import os
 import pickle
 import time
 import warnings
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields
 from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.runtime.faults import ProcessFaultPlan
 
@@ -145,6 +157,30 @@ class RuntimeReport:
             "degraded_serial": self.degraded_serial,
         }
 
+    def add(self, other: "RuntimeReport") -> None:
+        """Add ``other``'s counts to this report."""
+        for field in fields(self):
+            setattr(self, field.name,
+                    getattr(self, field.name) + getattr(other, field.name))
+
+
+#: The totals of the :func:`collect_reports` blocks open in this context
+#: (a context variable, so threads and tasks do not see each other's).
+_REPORT_TOTALS: ContextVar[Tuple[RuntimeReport, ...]] = ContextVar(
+    "_REPORT_TOTALS", default=())
+
+
+@contextmanager
+def collect_reports() -> Iterator[RuntimeReport]:
+    """Yield a report that sums every :func:`supervised_map` pool run
+    while the block is open (nested blocks each see their own runs)."""
+    total = RuntimeReport()
+    token = _REPORT_TOTALS.set(_REPORT_TOTALS.get() + (total,))
+    try:
+        yield total
+    finally:
+        _REPORT_TOTALS.reset(token)
+
 
 class ParallelFallbackWarning(RuntimeWarning):
     """A requested parallel run fell back to the serial path."""
@@ -178,16 +214,13 @@ def notify_parallel_fallback(obs, *, requested: int, context: str) -> None:
         )
 
 
-def _worker_main(worker_fn: Callable[[Any], Any], state: Dict[str, Any],
+def _worker_main(worker_fn: Callable[[Any], Any],
                  conn, fault_plan: Optional[ProcessFaultPlan]) -> None:
-    """Worker process body: tasks, state broadcasts, chaos directives.
+    """Worker process body: tasks and chaos directives.
 
-    A ``("state", key, value)`` message extends the fork-time ``state``
-    snapshot with a value published after the fork; pipe FIFO ordering
-    delivers it before any task submitted afterwards.  Chaos faults are
-    applied *here*, per (task, attempt), so the parent's inline and
-    degraded paths (which never enter this function) always run clean —
-    that is the bottom rung of the degradation ladder.
+    Chaos faults are applied *here*, per (task, attempt), so the parent's
+    inline and degraded paths (which never enter this function) always
+    run clean — that is the bottom rung of the degradation ladder.
     """
     try:
         while True:
@@ -197,9 +230,6 @@ def _worker_main(worker_fn: Callable[[Any], Any], state: Dict[str, Any],
                 return
             if message[0] == "stop":
                 return
-            if message[0] == "state":
-                state[message[1]] = message[2]
-                continue
             _, index, attempt, blob = message
             directive = (fault_plan.directive(index, attempt)
                          if fault_plan is not None else None)
@@ -257,9 +287,6 @@ class SupervisedPool:
             It is carried to workers by fork (closures are fine) and may
             read module globals published before the pool is built.
         processes: Worker process count (>= 0).
-        state: The module-global dict ``worker_fn`` reads its shared
-            inputs from; :meth:`broadcast` extends it in the parent and
-            in every worker.
         policy: Fault-handling knobs (default :class:`SupervisorPolicy`).
         obs: Optional :class:`~repro.obs.ObsContext` receiving
             ``runtime.*`` events and ``runtime_*_total`` counters.
@@ -269,7 +296,6 @@ class SupervisedPool:
     """
 
     def __init__(self, worker_fn: Callable[[Any], Any], processes: int, *,
-                 state: Optional[Dict[str, Any]] = None,
                  policy: Optional[SupervisorPolicy] = None,
                  obs=None,
                  fault_plan: Optional[ProcessFaultPlan] = None,
@@ -277,7 +303,6 @@ class SupervisedPool:
         if processes < 0:
             raise ValueError(f"processes must be >= 0, got {processes}")
         self._worker_fn = worker_fn
-        self._state = state if state is not None else {}
         self._policy = policy if policy is not None else SupervisorPolicy()
         self._obs = obs
         self._fault_plan = fault_plan
@@ -326,28 +351,12 @@ class SupervisedPool:
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(self._worker_fn, self._state, child_conn, self._fault_plan),
+            args=(self._worker_fn, child_conn, self._fault_plan),
             daemon=True,
         )
         process.start()
         child_conn.close()
         return _Worker(process=process, conn=parent_conn)
-
-    def broadcast(self, key: str, value: Any) -> None:
-        """Publish late-bound state to the parent and every live worker.
-
-        The parent's state is set *first*: respawned workers fork from
-        parent memory after this point and inherit the value, and the
-        inline/degraded paths read it directly.  Live workers receive a
-        ``state`` message, which pipe FIFO ordering delivers before any
-        task submitted afterwards.
-        """
-        self._state[key] = value
-        for worker in self._workers:
-            try:
-                worker.conn.send(("state", key, value))
-            except (BrokenPipeError, OSError):
-                pass  # the crash handler reaps it on the next step
 
     def submit(self, payload: Any) -> int:
         """Queue a task; returns its index (also the fault-plan key)."""
@@ -633,6 +642,8 @@ def supervised_map(
             results[index] = value
     finally:
         pool.close()
+        for total in _REPORT_TOTALS.get():
+            total.add(pool.report)
     return results, pool.report
 
 

@@ -189,6 +189,24 @@ class TestRunAcdWiring:
                     instance.answers, seed=7, parallel=True,
                     refine_shards=2, max_refinement_pairs=10)
 
+    @pytest.mark.parametrize("phase", ("pivot", "refine"))
+    def test_processes_without_shards_fail_before_any_crowd_work(self,
+                                                                  phase):
+        """Worker processes with zero shards are a config error that
+        run_acd reports before generation asks the crowd anything."""
+        instance = _instance(scale=0.05)
+
+        class Refusing:
+            num_workers = 3
+
+            def confidence(self, a, b):
+                raise AssertionError(f"crowdsourced ({a}, {b}) first")
+
+        with pytest.raises(ValueError,
+                           match=f"{phase} processes require {phase} shards"):
+            run_acd(instance.record_ids, instance.candidates, Refusing(),
+                    seed=7, **{f"{phase}_processes": 2})
+
     @pytest.mark.parametrize("knob, config", [
         ("refine_shards", dict(max_refinement_pairs=50)),
         ("pivot_shards", dict(parallel=False)),

@@ -17,8 +17,8 @@ from repro.obs import ObsContext
 from repro.runtime.faults import ProcessFaultPlan
 from repro.runtime.supervisor import (
     RuntimeReport,
-    SupervisedPool,
     SupervisorPolicy,
+    collect_reports,
     supervised_map,
 )
 
@@ -35,14 +35,6 @@ def _square(value):
 def _sleep(seconds):
     time.sleep(seconds)
     return seconds
-
-
-#: Module state a broadcasting pool extends (read by _square_with_state).
-_STATE = {}
-
-
-def _square_with_state(value):
-    return value * value, _STATE.get("offset")
 
 
 PAYLOADS = list(range(12))
@@ -215,42 +207,21 @@ class TestWaitRule:
         assert cpu < 0.25 * wall, (cpu, wall)
 
 
-class TestBroadcast:
-    @staticmethod
-    def _run(processes, fault_plan=None):
-        """Two waves of tasks around a broadcast; results by task index."""
-        pool = SupervisedPool(_square_with_state, processes, state=_STATE,
-                              policy=FAST, fault_plan=fault_plan)
-        try:
-            for value in range(2):
-                pool.submit(value)
-            first = dict(pool.next_result() for _ in range(2))
-            pool.broadcast("offset", 42)
-            for value in range(2, 8):
-                pool.submit(value)
-            second = dict(pool.next_result() for _ in range(6))
-        finally:
-            pool.close()
-            _STATE.clear()
-        return first, second, pool.report
-
-    @pytest.mark.parametrize("kills", ({2}, {2, 3}))
-    def test_respawned_worker_and_retry_see_broadcast(self, kills):
-        # Tasks 2 and 3 go out together right after the broadcast.  With
-        # one kill, task 3 runs on the surviving worker (state message)
-        # while task 2's retry may land on a respawned worker; with two,
-        # both workers die and every later task — retries included — runs
-        # on respawned workers, which inherit the state through fork.
-        plan = ProcessFaultPlan(kill_tasks=frozenset(kills))
-        first, second, report = self._run(2, fault_plan=plan)
-        assert first == {0: (0, None), 1: (1, None)}
-        assert second == {value: (value * value, 42)
-                          for value in range(2, 8)}
-        assert report.worker_crashes == len(kills)
-        if len(kills) == 2:  # the whole pool died: it must have respawned
-            assert report.worker_respawns >= 1
-        assert report.degraded_serial == 0
-        assert (first, second) == self._run(1)[:2]
+class TestCollectReports:
+    def test_sums_every_map_inside_the_block(self):
+        plan = ProcessFaultPlan(kill_tasks=frozenset({1}))
+        with collect_reports() as outer:
+            _, first = supervised_map(_square, PAYLOADS, processes=2,
+                                      policy=FAST, fault_plan=plan)
+            with collect_reports() as inner:
+                _, second = supervised_map(_square, [1, 2, 3], processes=1)
+        supervised_map(_square, [4], processes=1)  # outside both blocks
+        assert inner == second
+        assert outer.tasks == len(PAYLOADS) + 3
+        assert outer.worker_crashes == first.worker_crashes == 1
+        assert outer.as_dict() == {
+            name: first.as_dict()[name] + second.as_dict()[name]
+            for name in outer.as_dict()}
 
 
 class TestInterruptHygiene:

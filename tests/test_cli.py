@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 EVERY_COMMAND = [
@@ -159,6 +160,19 @@ class TestRunFlagValidation:
                            match=r"--manifest requires --trace"):
             main(["run", "restaurant", "--scale", "0.05",
                   "--manifest", str(tmp_path / "m.json")])
+
+    @pytest.mark.parametrize("phase", ("pivot", "refine"))
+    def test_processes_require_shards_before_pruning(self, phase,
+                                                     monkeypatch):
+        def pruning(*args, **kwargs):
+            raise AssertionError("pruning ran before the flag check")
+
+        monkeypatch.setattr(cli, "_prepare", pruning)
+        with pytest.raises(SystemExit,
+                           match=rf"--{phase}-processes requires "
+                                 rf"--{phase}-shards"):
+            main(["run", "restaurant", "--scale", "0.05",
+                  f"--{phase}-processes", "2"])
 
     def test_journal_and_trace_collision(self, tmp_path):
         shared = tmp_path / "artifact.jsonl"
